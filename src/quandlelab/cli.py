@@ -23,7 +23,7 @@ from .counterexamples import maschke_counterexample, s3_hom_demo
 from .dihedral_reps import dihedral_closed_form
 from .errors import QuandleLabError
 from .fields import build_field_q, primitive_elements
-from .presentation import classify_cyclic, normalize, parse_word, prime_power_equivalent, same_log_pattern, verify_presentation
+from .presentation import PresentationContext, classify_cyclic, normalize, parse_word, prime_power_equivalent, verify_presentation
 from .quandles import (
     Quandle,
     alexander,
@@ -233,12 +233,11 @@ def _verify_classification(result) -> bool:
     for i, c in enumerate(result.classes):
         for m in c.members:
             index[m] = i
+    phi = {a: PresentationContext(F, a).phi for a in prims}
     for a in prims:
         for b in prims:
             same = index[a] == index[b]
-            if prime_power_equivalent(F, a, b) != same:
-                return False
-            if same_log_pattern(F, a, b) != same:
+            if prime_power_equivalent(F, a, b) != same or (phi[a] == phi[b]) != same:
                 return False
     if F.q <= 16:
         for a in prims:

@@ -13,6 +13,7 @@ over candidate second generators rather than asserted.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,7 +168,7 @@ def analyze_2d_pair(F: FieldTable, alpha: int, A, B, tol: float = 1e-9) -> PairV
     is flagged for inspection instead of being silently accepted."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    ctx = PresentationContext(F, alpha)
+    phi = PresentationContext(F, alpha).phi
     q = F.q
     if min(abs(np.linalg.det(A)), abs(np.linalg.det(B))) < 1e-12:
         return PairVerdict("invalid", violated="images must be invertible",
@@ -183,7 +184,7 @@ def analyze_2d_pair(F: FieldTable, alpha: int, A, B, tol: float = 1e-9) -> PairV
         ("B^(q-1) A B^(1-q) = A", power(B, Binv, q - 1) @ A @ power(B, Binv, 1 - q), A),
     ]
     for k in range(1, q - 1):
-        t = ctx.log_one_minus_pow(k)
+        t = phi[k]
         lhs = power(B, Binv, k) @ A @ power(B, Binv, -k)
         rhs = power(A, Ainv, t) @ B @ power(A, Ainv, -t)
         checks.append((f"B^{k} A B^-{k} = A^{t} B A^-{t}", lhs, rhs))
@@ -347,7 +348,7 @@ class RigidityReport:
 
 
 def _relation_residuals(M: np.ndarray, J: np.ndarray, Jpow: dict, q: int,
-                        phi: list[int]) -> list[np.ndarray]:
+                        phi: Sequence[int]) -> list[np.ndarray]:
     d = J.shape[0]
     out = []
     Minv = np.linalg.inv(M)
@@ -379,8 +380,7 @@ def rigidity_check(spec: JordanSpec, F: FieldTable, alpha: int,
     q = F.q
     if not spec.power_maximal(q - 1):
         raise InvalidParamsError("J must be (q-1)-th power maximal")
-    ctx = PresentationContext(F, alpha)
-    phi = [0] + [ctx.log_one_minus_pow(k) for k in range(1, q - 1)]
+    phi = PresentationContext(F, alpha).phi
     J = spec.matrix()
     d = spec.dim
     Jinv = np.linalg.inv(J)

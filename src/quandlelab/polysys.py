@@ -148,7 +148,7 @@ def log_involution(F: FieldTable, alpha: int) -> LogInvolution:
         raise InvalidParamsError("the equation system needs q > 3")
     ctx = PresentationContext(F, alpha)
     m = F.q - 1
-    phi = [0] + [ctx.log_one_minus_pow(k) for k in range(1, m)]
+    phi = ctx.phi
     for k in range(1, m):
         if not 1 <= phi[k] <= m - 1 or phi[phi[k]] != k:
             raise NotInvolutionError(f"k={k}: phi(phi(k)) = {phi[phi[k]]} != k")
@@ -162,7 +162,7 @@ def log_involution(F: FieldTable, alpha: int) -> LogInvolution:
         if fixed != (expected,):
             raise NotInvolutionError(
                 f"fixed points {fixed}, expected exactly {{-log(2) = {expected}}}")
-    return LogInvolution(F.q, alpha, tuple(phi), fixed)
+    return LogInvolution(F.q, alpha, phi, fixed)
 
 
 def system_poly(inv: LogInvolution, k: int) -> IntPoly:
@@ -173,16 +173,6 @@ def system_poly(inv: LogInvolution, k: int) -> IntPoly:
     p[k] += 1
     p[inv.phi[k]] += 1
     return _trim(p)
-
-
-def _eisenstein_reciprocal(n: int) -> bool:
-    """2x^n - 1 is irreducible: its reciprocal x^n - 2 satisfies the
-    Eisenstein criterion at 2 (2 divides every non-leading coefficient,
-    4 does not divide the constant term)."""
-    coeffs = [-2] + [0] * (n - 1) + [1]
-    return (all(c % 2 == 0 for c in coeffs[:-1])
-            and coeffs[-1] % 2 != 0
-            and coeffs[0] % 4 != 0)
 
 
 @dataclass
@@ -232,7 +222,8 @@ def system_has_no_solution(inv: LogInvolution, method: str = "auto") -> Certific
 
     method 'auto' uses the fixed-point anchor when one exists (odd
     characteristic) and the subresultant chain otherwise; 'subresultant'
-    forces the general chain.
+    forces the general chain.  The anchor 2x^N - 1 needs no check: its
+    reciprocal x^N - 2 is Eisenstein at 2 for every N.
     """
     if method not in ("auto", "subresultant"):
         raise InvalidParamsError(f"unknown method {method!r}")
@@ -241,8 +232,6 @@ def system_has_no_solution(inv: LogInvolution, method: str = "auto") -> Certific
 
     if method == "auto" and fp is not None:
         N = fp
-        if not _eisenstein_reciprocal(N):
-            raise AssertionError("Eisenstein check failed for the fixed-point equation")
         cert.method = "fixed-point-anchor"
         cert.steps.append(GcdStep(f"P_{N} = 2x^{N}-1", N, "irreducible (Eisenstein)"))
         cert.final_degree = N

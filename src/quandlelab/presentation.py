@@ -127,10 +127,6 @@ def parse_word(text: str) -> Word:
     return word
 
 
-def word(text: str) -> Word:
-    return parse_word(text)
-
-
 def eliminate_inverses(w: Word, q: int) -> Word:
     """Replace each /g by (q-2) copies of *g, using a/b = a*b^(q-2)."""
     first = (w.tokens[0][0], FWD)
@@ -170,8 +166,13 @@ def xy(r: int) -> CanonicalForm:
 
 
 class PresentationContext:
-    """Log bookkeeping for one (F_q, alpha): discrete logs to base alpha
-    and the pairing k -> log(1 - alpha^k) that drives the rewriting."""
+    """The field model of the presented quandle for one (F_q, alpha).
+
+    Holds discrete logs to base alpha, the Alexander step v*g = alpha v +
+    (1-alpha) g with its inverse, and the Zech-style pairing table
+    phi[k] = log(1 - alpha^k) for 1 <= k <= q-2 that drives the rewriting
+    (phi[0] is a placeholder).  The table is built once, here, and every
+    consumer reads it."""
 
     def __init__(self, F: FieldTable, alpha: int):
         if F.q <= 2:
@@ -186,6 +187,9 @@ class PresentationContext:
         inv_la = pow(la, -1, self.m)
         self._dlog = [None] + [(F.log(v) * inv_la) % self.m for v in range(1, F.q)]
         self.one_minus_alpha = F.sub(1, alpha)
+        self.inv_alpha = F.inv(alpha)
+        self.phi: tuple[int, ...] = (0,) + tuple(
+            self._dlog[F.sub(1, F.pow(alpha, k))] for k in range(1, self.m))
 
     def dlog(self, v: int) -> int:
         if v == 0:
@@ -197,7 +201,20 @@ class PresentationContext:
 
     def log_one_minus_pow(self, k: int) -> int:
         """log_alpha(1 - alpha^k) for k not divisible by q-1."""
-        return self.dlog(self.F.sub(1, self.alpha_pow(k)))
+        k %= self.m
+        if k == 0:
+            raise ZeroDivisionError("log of zero")
+        return self.phi[k]
+
+    def act(self, v: int, g: int) -> int:
+        """v * g = alpha v + (1 - alpha) g."""
+        F = self.F
+        return F.add(F.mul(self.alpha, v), F.mul(self.one_minus_alpha, g))
+
+    def act_inv(self, v: int, g: int) -> int:
+        """v / g = alpha^-1 (v - (1 - alpha) g), the inverse of act(., g)."""
+        F = self.F
+        return F.mul(self.inv_alpha, F.sub(v, F.mul(self.one_minus_alpha, g)))
 
 
 def product_coefficient(F: FieldTable, alpha: int, r: int, s: int) -> int:
@@ -212,19 +229,17 @@ def product_coefficient(F: FieldTable, alpha: int, r: int, s: int) -> int:
     return F.add(F.sub(a_r1, a_s1), a_s)
 
 
-def evaluate_word(w: Word, F: FieldTable, alpha: int) -> int:
-    """Evaluate a word in (F_q, alpha) under x -> 0, y -> 1."""
-    one_minus = F.sub(1, alpha)
-    inv_alpha = F.inv(alpha)
+def _evaluate(w: Word, ctx: PresentationContext) -> int:
     images = {"x": 0, "y": 1}
     v = images[w.tokens[0][0]]
     for gen, op in w.tokens[1:]:
-        g = images[gen]
-        if op == FWD:
-            v = F.add(F.mul(alpha, v), F.mul(one_minus, g))
-        else:
-            v = F.mul(inv_alpha, F.sub(v, F.mul(one_minus, g)))
+        v = ctx.act(v, images[gen]) if op == FWD else ctx.act_inv(v, images[gen])
     return v
+
+
+def evaluate_word(w: Word, F: FieldTable, alpha: int) -> int:
+    """Evaluate a word in (F_q, alpha), alpha primitive, under x -> 0, y -> 1."""
+    return _evaluate(w, PresentationContext(F, alpha))
 
 
 def canonical_to_field(c: CanonicalForm, ctx: PresentationContext) -> int:
@@ -252,7 +267,7 @@ def normalize(w: Word, F: FieldTable, alpha: int,
     """
     if ctx is None:
         ctx = PresentationContext(F, alpha)
-    m = ctx.m
+    m, phi = ctx.m, ctx.phi
     expanded = eliminate_inverses(w, ctx.q)
 
     state = Y if expanded.tokens[0][0] == "y" else X
@@ -260,7 +275,7 @@ def normalize(w: Word, F: FieldTable, alpha: int,
         if state.kind == "y":
             if gen == "y":
                 continue
-            state = xy(ctx.log_one_minus_pow(1))          # y*x = x*y^log(1-alpha)
+            state = xy(phi[1])                            # y*x = x*y^log(1-alpha)
         else:
             r = state.r
             if gen == "y":
@@ -269,13 +284,13 @@ def normalize(w: Word, F: FieldTable, alpha: int,
             else:
                 if r == 0:
                     continue                              # x*x = x
-                t = (ctx.log_one_minus_pow(r) + 1) % m    # (x*y^r)*x = y*x^t
+                t = (phi[r] + 1) % m                      # (x*y^r)*x = y*x^t
                 if t == 0:
                     state = Y
                 else:
-                    state = xy(ctx.log_one_minus_pow(t))  # y*x^t = x*y^log(1-alpha^t)
+                    state = xy(phi[t])                    # y*x^t = x*y^log(1-alpha^t)
 
-    direct = evaluate_word(w, F, alpha)
+    direct = _evaluate(w, ctx)
     if canonical_to_field(state, ctx) != direct:
         raise VerificationFailureError(
             f"rewriting produced {state} but field evaluation gives element {direct}"
@@ -283,11 +298,10 @@ def normalize(w: Word, F: FieldTable, alpha: int,
     return state
 
 
-def _rpow(F: FieldTable, alpha: int, v: int, g: int, k: int) -> int:
+def _rpow(ctx: PresentationContext, v: int, g: int, k: int) -> int:
     """v acted on k times by g in (F_q, alpha)."""
-    one_minus = F.sub(1, alpha)
     for _ in range(k):
-        v = F.add(F.mul(alpha, v), F.mul(one_minus, g))
+        v = ctx.act(v, g)
     return v
 
 
@@ -299,31 +313,27 @@ class PresentationReport:
     canonical_images: int
     words_checked: int
 
-    @property
-    def ok(self) -> bool:
-        return True  # construction raises on any failure
-
 
 def verify_presentation(F: FieldTable, alpha: int, max_len: int = 6) -> PresentationReport:
     """Check that (F_q, alpha) under x -> 0, y -> 1 realizes the presented
     quandle: the defining relations hold, the canonical set maps onto all q
     elements, and normalization agrees with direct evaluation on every word
-    up to max_len."""
+    up to max_len.  Any failure raises; the report only counts checks."""
     ctx = PresentationContext(F, alpha)
     q, m = ctx.q, ctx.m
     ix, iy = 0, 1
 
     relations = 0
-    if _rpow(F, alpha, ix, iy, m) != ix:
+    if _rpow(ctx, ix, iy, m) != ix:
         raise RelationViolationError(f"x*y^{m} = x")
-    if _rpow(F, alpha, iy, ix, m) != iy:
+    if _rpow(ctx, iy, ix, m) != iy:
         raise RelationViolationError(f"y*x^{m} = y")
     relations += 2
     for k in range(1, q - 1):
-        t = ctx.log_one_minus_pow(k)
-        if _rpow(F, alpha, ix, iy, k) != _rpow(F, alpha, iy, ix, t):
+        t = ctx.phi[k]
+        if _rpow(ctx, ix, iy, k) != _rpow(ctx, iy, ix, t):
             raise RelationViolationError(f"x*y^{k} = y*x^{t}", f"k={k}")
-        if _rpow(F, alpha, iy, ix, k) != _rpow(F, alpha, ix, iy, t):
+        if _rpow(ctx, iy, ix, k) != _rpow(ctx, ix, iy, t):
             raise RelationViolationError(f"y*x^{k} = x*y^{t}", f"k={k}")
         relations += 2
 
@@ -345,13 +355,9 @@ def verify_presentation(F: FieldTable, alpha: int, max_len: int = 6) -> Presenta
             raise VerificationFailureError(f"word {w}: normalize gives {got}, field {value}")
         words += 1
         if len(tokens) < max_len:
-            one_minus = F.sub(1, alpha)
-            inv_alpha = F.inv(alpha)
             for gen, g in (("x", 0), ("y", 1)):
-                fwd = F.add(F.mul(alpha, value), F.mul(one_minus, g))
-                stack.append((tokens + ((gen, FWD),), fwd))
-                bwd = F.mul(inv_alpha, F.sub(value, F.mul(one_minus, g)))
-                stack.append((tokens + ((gen, INV),), bwd))
+                stack.append((tokens + ((gen, FWD),), ctx.act(value, g)))
+                stack.append((tokens + ((gen, INV),), ctx.act_inv(value, g)))
 
     return PresentationReport(q, alpha, relations, len(images), words)
 
@@ -369,10 +375,7 @@ def prime_power_equivalent(F: FieldTable, alpha: int, beta: int) -> bool:
 def same_log_pattern(F: FieldTable, alpha: int, beta: int) -> bool:
     """True iff log_alpha(1-alpha^k) = log_beta(1-beta^k) for 0 < k < q-1;
     by the classification this is equivalent to prime-power equivalence."""
-    ca = PresentationContext(F, alpha)
-    cb = PresentationContext(F, beta)
-    return all(ca.log_one_minus_pow(k) == cb.log_one_minus_pow(k)
-               for k in range(1, F.q - 1))
+    return PresentationContext(F, alpha).phi == PresentationContext(F, beta).phi
 
 
 @dataclass(frozen=True)

@@ -393,7 +393,6 @@ def _derivations(Q: Quandle, gens: list[int]) -> list[tuple[int, int, int]]:
     known = list(gens)
     in_known = set(gens)
     derivs = []
-    i = 0
     while len(known) < Q.order:
         progressed = False
         for a in known:
@@ -406,7 +405,6 @@ def _derivations(Q: Quandle, gens: list[int]) -> list[tuple[int, int, int]]:
                     progressed = True
         if not progressed:
             raise InvalidParamsError("generating set does not generate")
-        i += 1
     return derivs
 
 

@@ -31,6 +31,12 @@ INVARIANCE_TOL = 1e-9
 CLUSTER_TOL = 1e-8
 
 
+def _round_key(m: np.ndarray, decimals: int) -> bytes:
+    """Hash key of a matrix rounded to `decimals`; adding 0.0 turns the
+    -0.0 that rounding leaves on tiny negative entries into 0.0."""
+    return (m.round(decimals) + 0.0).tobytes()
+
+
 class QuandleRep:
     """A validated map element -> invertible complex matrix."""
 
@@ -45,7 +51,7 @@ class QuandleRep:
     def distinct_matrices(self) -> list[np.ndarray]:
         seen = {}
         for m in self.matrices:
-            seen.setdefault(m.round(9).tobytes(), m)
+            seen.setdefault(_round_key(m, 9), m)
         return list(seen.values())
 
     def __repr__(self) -> str:
@@ -227,16 +233,16 @@ def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> list[np.ndarray]:
     for g in gens:
         _finite_order_precheck(g)
     norm_bound = 1e6 * max(float(np.linalg.norm(g)) for g in gens)
-    key = lambda m: m.round(7).tobytes()
-    elements = {key(np.eye(rep.dim, dtype=complex)): np.eye(rep.dim, dtype=complex)}
-    queue = list(elements.values())
+    identity = np.eye(rep.dim, dtype=complex)
+    elements = {_round_key(identity, 7): identity}
+    queue = [identity]
     while queue:
         h = queue.pop()
         for g in gens:
             gh = g @ h
             if float(np.linalg.norm(gh)) > norm_bound:
                 raise GroupNotFiniteError("matrix products grow without bound")
-            k = key(gh)
+            k = _round_key(gh, 7)
             if k not in elements:
                 if len(elements) >= cap:
                     raise GroupNotFiniteError(f"matrix closure exceeded cap {cap}")
@@ -451,29 +457,12 @@ def is_irreducible(rep: QuandleRep, subspace: Subspace,
                    cap: int = 10 ** 6, tol: float = 1e-8) -> bool:
     """Schur certificate on an invariant subspace: the commutant of the
     restricted (finite) image group has dimension one."""
-    restricted = [subspace.restrict(m) for m in rep.distinct_matrices()]
+    restricted = QuandleRep(rep.quandle, np.array([subspace.restrict(m) for m in rep.matrices]))
     # certificate is only valid for a finite image group
-    for g in restricted:
-        _finite_order_precheck(g)
-    norm_bound = 1e6 * max(float(np.linalg.norm(g)) for g in restricted)
-    key = lambda m: m.round(7).tobytes()
-    elements = {key(np.eye(subspace.dim, dtype=complex))}
-    queue = [np.eye(subspace.dim, dtype=complex)]
-    while queue:
-        h = queue.pop()
-        for g in restricted:
-            gh = g @ h
-            if float(np.linalg.norm(gh)) > norm_bound:
-                raise GroupNotFiniteError("restricted products grow without bound")
-            k = key(gh)
-            if k not in elements:
-                if len(elements) >= cap:
-                    raise GroupNotFiniteError(f"restricted closure exceeded cap {cap}")
-                elements.add(k)
-                queue.append(gh)
+    matrix_group(restricted, cap)
     if subspace.dim == 1:
         return True
-    return commutant_dimension(restricted, tol) == 1
+    return commutant_dimension(restricted.distinct_matrices(), tol) == 1
 
 
 def invariant_complement_exists(rep: QuandleRep, W: Subspace,

@@ -2,6 +2,7 @@ import pytest
 
 from quandlelab.errors import InvalidParamsError, NotPrimitiveError, WordSyntaxError
 from quandlelab.fields import build_field, build_field_q, euler_phi, primitive_elements
+from quandlelab.polysys import prime_powers_upto
 from quandlelab.presentation import (
     FWD,
     INV,
@@ -109,6 +110,42 @@ def test_normalize_matches_field_on_random_words(F7):
         w = Word(tuple(tokens))
         c = normalize(w, F7, 3, ctx)
         assert canonical_to_field(c, ctx) == evaluate_word(w, F7, 3)
+
+
+# -- the pairing table --
+
+@pytest.mark.parametrize("q", prime_powers_upto(32, minimum=3))
+def test_pairing_table_is_log_of_one_minus_power(q):
+    """phi[k] against powers of alpha by repeated multiplication and
+    1 - alpha^k on the coefficient digits."""
+    F = build_field_q(q)
+    for alpha in primitive_elements(F):
+        ctx = PresentationContext(F, alpha)
+        powers = [1]
+        for _ in range(q - 2):
+            powers.append(F.mul(powers[-1], alpha))
+        assert len(ctx.phi) == q - 1
+        for k in range(1, q - 1):
+            digits = [-c for c in F.coeffs(powers[k])] or [0]
+            digits[0] += 1
+            assert powers[ctx.phi[k]] == F.from_coeffs(digits), (alpha, k)
+            assert ctx.log_one_minus_pow(k) == ctx.phi[k]
+            assert ctx.log_one_minus_pow(k - (q - 1)) == ctx.phi[k]
+
+
+def test_log_one_minus_pow_rejects_multiples_of_q_minus_1(F7):
+    ctx = PresentationContext(F7, 3)
+    for k in (0, 6, -6, 12):
+        with pytest.raises(ZeroDivisionError):
+            ctx.log_one_minus_pow(k)
+
+
+def test_alexander_step_inverts(F7):
+    ctx = PresentationContext(F7, 3)
+    for v in range(7):
+        for g in range(7):
+            assert ctx.act(v, g) == _act(F7, 3, v, g)
+            assert ctx.act_inv(ctx.act(v, g), g) == v
 
 
 # -- the product coefficient --
@@ -237,7 +274,7 @@ def test_log_pattern_examples(F125, F5):
     assert same_log_pattern(F5, 2, 2)
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
+@pytest.mark.parametrize("q", prime_powers_upto(32, minimum=3))
 def test_log_pattern_iff_prime_power_equivalent(q):
     F = build_field_q(q)
     prims = primitive_elements(F)
@@ -267,8 +304,6 @@ def test_classify_respects_equivalence(F125):
 
 
 def test_classify_count_formula_all_prime_powers_to_128():
-    from quandlelab.polysys import prime_powers_upto
-
     for q in prime_powers_upto(128, minimum=3):
         n = 0
         m = q

@@ -14,8 +14,10 @@ from quandlelab.errors import (
     NotHomomorphismError,
     SingularMatrixError,
 )
-from quandlelab.quandles import dihedral, trivial
+from quandlelab.fields import build_field_q, primitive_elements
+from quandlelab.quandles import alexander, dihedral, trivial
 from quandlelab.reps import (
+    QuandleRep,
     Subspace,
     augmentation_split,
     check_rep,
@@ -162,6 +164,29 @@ def test_decompose_finite_non_unitary_image():
     assert decomp.dims == [1, 1]
     for p in decomp.parts:
         assert invariance_residual(rep, p.subspace) <= 1e-8
+
+
+SIMILARITY_CASES = (
+    [("dihedral", n, None, s) for n in range(3, 7) for s in range(5)]
+    + [("alexander", q, a, s) for q in (3, 4, 5, 7)
+       for a in primitive_elements(build_field_q(q)) for s in range(3)])
+
+
+@pytest.mark.parametrize("kind,order,alpha,s", SIMILARITY_CASES)
+def test_decompose_similarity_conjugated_regular_rep(kind, order, alpha, s):
+    """S rho S^-1 with S = A + iB (A, B standard normal) has the same image
+    group and decomposes into parts with the same dims and labels.  Rounding
+    the closure's products leaves -0.0 entries, which must key like 0.0."""
+    Q = dihedral(order) if kind == "dihedral" else alexander(build_field_q(order), alpha)
+    plain = regular_rep(Q)
+    g = np.random.default_rng(s)
+    S = g.standard_normal((Q.order, Q.order)) + 1j * g.standard_normal((Q.order, Q.order))
+    rep = QuandleRep(Q, S @ plain.matrices @ np.linalg.inv(S))
+    want, got = decompose(plain), decompose(rep)
+    assert sorted(got.dims) == sorted(want.dims)
+    assert got.label_multiset() == want.label_multiset()
+    assert len(matrix_group(rep)) == len(matrix_group(plain))
+    assert all(is_irreducible(rep, p.subspace) for p in got.parts)
 
 
 def test_decompose_deterministic():
