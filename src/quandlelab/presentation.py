@@ -270,26 +270,23 @@ def normalize(w: Word, F: FieldTable, alpha: int,
     m, phi = ctx.m, ctx.phi
     expanded = eliminate_inverses(w, ctx.q)
 
-    state = Y if expanded.tokens[0][0] == "y" else X
+    # the prefix is y when on_y, else x*y^r
+    on_y, r = expanded.tokens[0][0] == "y", 0
     for gen, _ in expanded.tokens[1:]:
-        if state.kind == "y":
+        if on_y:
             if gen == "y":
                 continue
-            state = xy(phi[1])                            # y*x = x*y^log(1-alpha)
-        else:
-            r = state.r
-            if gen == "y":
-                r2 = r + 1
-                state = X if r2 == m else xy(r2)          # x*y^(q-1) = x
+            on_y, r = False, phi[1]                       # y*x = x*y^log(1-alpha)
+        elif gen == "y":
+            r = (r + 1) % m                               # x*y^(q-1) = x
+        elif r:                                           # x*x = x
+            t = (phi[r] + 1) % m                          # (x*y^r)*x = y*x^t
+            if t == 0:
+                on_y, r = True, 0
             else:
-                if r == 0:
-                    continue                              # x*x = x
-                t = (phi[r] + 1) % m                      # (x*y^r)*x = y*x^t
-                if t == 0:
-                    state = Y
-                else:
-                    state = xy(phi[t])                    # y*x^t = x*y^log(1-alpha^t)
+                r = phi[t]                                # y*x^t = x*y^log(1-alpha^t)
 
+    state = Y if on_y else xy(r)
     direct = _evaluate(w, ctx)
     if canonical_to_field(state, ctx) != direct:
         raise VerificationFailureError(

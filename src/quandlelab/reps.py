@@ -4,10 +4,12 @@ A representation sends each quandle element to an invertible matrix so that
 rho(x > y) = rho(y) rho(x) rho(y)^{-1}.  The regular representation acts by
 permutation matrices; its invariant subspaces are exactly the invariant
 subspaces of the (finite) group generated by the image, which is what makes
-the commutant-averaging decomposition below complete.  For images that
-generate an infinite group the decomposition degrades to a search for
-one-dimensional invariant subspaces and reports incompleteness instead of
-guessing.
+the commutant-averaging decomposition below complete.  Each part is
+certified irreducible by the character norm of the finite image group,
+(1/|G|) sum_g |tr(g|_W)|^2 = dim End_G(W), an integer that must be one.
+For images that generate an infinite group the decomposition degrades to a
+search for one-dimensional invariant subspaces and reports incompleteness
+instead of guessing.
 """
 
 from __future__ import annotations
@@ -165,20 +167,16 @@ class Subspace:
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
     def restrict(self, matrix: np.ndarray) -> np.ndarray:
         return self.basis.conj().T @ matrix @ self.basis
 
 
 def invariance_residual(rep: QuandleRep, subspace: Subspace) -> float:
-    """max over x of || (I - P) rho(x) B ||_F; zero iff the span is invariant."""
+    """max over x of || rho(x) B - B (B^H rho(x) B) ||_F, which is
+    || (I - P) rho(x) B ||_F; zero iff the span is invariant."""
     B = subspace.basis
-    P = subspace.projector()
-    I = np.eye(rep.dim)
-    return max(float(np.linalg.norm((I - P) @ rep.mat(x) @ B))
-               for x in range(rep.quandle.order))
+    MB = rep.matrices @ B
+    return float(np.max(np.linalg.norm(MB - B @ (B.conj().T @ MB), axis=(1, 2))))
 
 
 def augmentation_split(rep: QuandleRep) -> tuple[Subspace, Subspace]:
@@ -195,15 +193,30 @@ def augmentation_split(rep: QuandleRep) -> tuple[Subspace, Subspace]:
 
 # -- finite matrix groups and commutants --
 
-def _finite_order_precheck(g: np.ndarray) -> None:
-    """Necessary conditions for g to lie in a finite matrix group: all
-    eigenvalues on the unit circle and g diagonalizable.  Catches unipotent
-    or scaling generators immediately, long before any closure cap."""
-    vals, vecs = np.linalg.eig(g)
-    if np.max(np.abs(np.abs(vals) - 1)) > 1e-6:
-        raise GroupNotFiniteError("a generator has an eigenvalue off the unit circle")
-    if np.linalg.cond(vecs) > 1e10:
-        raise GroupNotFiniteError("a generator is not diagonalizable")
+def _finite_order_precheck(gens: list[np.ndarray]) -> float:
+    """Necessary conditions for the generators of a finite matrix group, and
+    the norm bound the closure holds every product to, which is returned.
+
+    Each generator needs all eigenvalues on the unit circle and a
+    well-conditioned eigenbasis, and the powers g^(2^k) and g^(-2^k),
+    k <= 40, must stay within the bound: every such power is a group
+    element.  Catches unipotent or scaling generators, eigenvalues off the
+    unit circle by more than about 1e-11 (rounding a matrix of finite
+    order leaves about 1e-16), and Jordan blocks that rounding has split
+    into nearly parallel eigenvectors, long before any closure cap."""
+    norm_bound = 1e6 * max(float(np.linalg.norm(g)) for g in gens)
+    for g in gens:
+        vals, vecs = np.linalg.eig(g)
+        if np.max(np.abs(np.abs(vals) - 1)) > 1e-6:
+            raise GroupNotFiniteError("a generator has an eigenvalue off the unit circle")
+        if np.linalg.cond(vecs) > 1e10:
+            raise GroupNotFiniteError("a generator is not diagonalizable")
+        for power in (g, np.linalg.inv(g)):
+            for _ in range(40):
+                power = power @ power
+                if float(np.linalg.norm(power)) > norm_bound:
+                    raise GroupNotFiniteError("the powers of a generator grow without bound")
+    return norm_bound
 
 
 def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> list[np.ndarray]:
@@ -230,9 +243,7 @@ def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> list[np.ndarray]:
         return out
 
     gens = rep.distinct_matrices()
-    for g in gens:
-        _finite_order_precheck(g)
-    norm_bound = 1e6 * max(float(np.linalg.norm(g)) for g in gens)
+    norm_bound = _finite_order_precheck(gens)
     identity = np.eye(rep.dim, dtype=complex)
     elements = {_round_key(identity, 7): identity}
     queue = [identity]
@@ -253,13 +264,33 @@ def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> list[np.ndarray]:
 
 def commutant_dimension(mats: list[np.ndarray], tol: float = 1e-8) -> int:
     """Dimension of {X : XM = MX for all M}, via the nullspace of the
-    stacked Sylvester operators."""
+    stacked Sylvester operators.  `decompose` and `is_irreducible` no longer
+    call it: they certify through `character_norm`, which needs no SVD of a
+    (len(mats) k^2) x k^2 matrix."""
     k = mats[0].shape[0]
     I = np.eye(k)
     A = np.vstack([np.kron(m, I) - np.kron(I, m.T) for m in mats])
     s = np.linalg.svd(A, compute_uv=False)  # len(s) == k*k
     cutoff = tol * max(s[0], 1.0)
     return int(np.sum(s <= cutoff))
+
+
+def character_norm(group: np.ndarray, basis: np.ndarray,
+                   tol: float = CLUSTER_TOL) -> int:
+    """<chi_W, chi_W> = (1/|G|) sum_g |tr(B^H g B)|^2 for the span W of the
+    orthonormal columns B, an invariant subspace of the finite matrix
+    group G given as a (|G|, d, d) stack.  This is dim End_G(W) (Serre,
+    Linear Representations of Finite Groups, 2.3 Thm 5): 1 exactly when W
+    is irreducible, and the orbital count when W is the whole space of a
+    permutation representation.  A value further than tol from an integer
+    raises ToleranceFailureError."""
+    P = basis @ basis.conj().T
+    traces = group.reshape(len(group), -1) @ P.T.reshape(-1)   # tr(g P)
+    value = float(np.sum(np.abs(traces) ** 2)) / len(group)
+    norm = round(value)
+    if abs(value - norm) > tol:
+        raise ToleranceFailureError(f"character norm {value!r} is not an integer")
+    return norm
 
 
 def _cluster_real(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -334,12 +365,13 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
               cap: int = 10 ** 6, label: bool = True) -> Decomposition:
     """Split a representation into irreducible invariant subspaces.
 
-    When the image matrices generate a finite group, a random Hermitian
-    matrix is averaged into the commutant; eigenspaces of the average are
-    invariant, and recursion stops where the restricted commutant has
-    dimension one (Schur certificate).  For an infinite image group the
-    fallback collects one-dimensional invariant subspaces and flags the
-    decomposition as incomplete if they do not exhaust the space.
+    When the image matrices generate a finite group G, a random Hermitian
+    matrix is averaged over G into the commutant; eigenspaces of the
+    average are invariant, and recursion stops where the character norm of
+    G on the subspace is one (Schur certificate; see `character_norm`).
+    For an infinite image group the fallback collects one-dimensional
+    invariant subspaces and flags the decomposition as incomplete if they
+    do not exhaust the space.
     """
     try:
         group = matrix_group(rep, cap)
@@ -348,33 +380,30 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
 
     # a finite matrix group can always be made unitary: average the Gram
     # matrix over the group and conjugate by its square root
+    G = np.array(group)
+    gram = G.conj().transpose(0, 2, 1) @ G
     back = None
-    work = rep
-    if not all(np.allclose(g.conj().T @ g, np.eye(rep.dim), atol=1e-9) for g in group):
-        S = sum(g.conj().T @ g for g in group) / len(group)
-        T = scipy.linalg.sqrtm(S)
+    if not np.allclose(gram, np.eye(rep.dim), atol=1e-9):
+        T = scipy.linalg.sqrtm(gram.mean(axis=0))
         Tinv = np.linalg.inv(T)
-        work = QuandleRep(rep.quandle,
-                          np.array([T @ m @ Tinv for m in rep.matrices]))
-        group = [T @ g @ Tinv for g in group]
+        G = T @ G @ Tinv
         back = Tinv
 
     rng = np.random.default_rng(seed)
-    gens = work.distinct_matrices()
     parts: list[Part] = []
 
     def split(basis: np.ndarray):
         sub = Subspace(basis)
-        restricted_gens = [sub.restrict(g) for g in gens]
-        if sub.dim == 1 or commutant_dimension(restricted_gens) == 1:
+        if character_norm(G, basis) == 1:
             parts.append(Part(sub, irreducible=True))
             return
-        restricted_group = [sub.restrict(g) for g in group]
+        R = basis.conj().T @ G @ basis
+        RH = R.conj().transpose(0, 2, 1)
         for attempt in range(6):
             H = rng.standard_normal((sub.dim, sub.dim)) + 1j * rng.standard_normal(
                 (sub.dim, sub.dim))
             H = H + H.conj().T
-            avg = sum(g @ H @ g.conj().T for g in restricted_group) / len(restricted_group)
+            avg = (R @ H @ RH).mean(axis=0)
             avg = (avg + avg.conj().T) / 2
             vals, vecs = np.linalg.eigh(avg)
             clusters = _cluster_real(vals, cluster_tol)
@@ -455,14 +484,12 @@ def _decompose_infinite(rep: QuandleRep, tol: float) -> Decomposition:
 
 def is_irreducible(rep: QuandleRep, subspace: Subspace,
                    cap: int = 10 ** 6, tol: float = 1e-8) -> bool:
-    """Schur certificate on an invariant subspace: the commutant of the
-    restricted (finite) image group has dimension one."""
-    restricted = QuandleRep(rep.quandle, np.array([subspace.restrict(m) for m in rep.matrices]))
-    # certificate is only valid for a finite image group
-    matrix_group(restricted, cap)
-    if subspace.dim == 1:
-        return True
-    return commutant_dimension(restricted.distinct_matrices(), tol) == 1
+    """Schur certificate on an invariant subspace: the character norm of
+    the restricted image group, which must be finite, is one."""
+    B = subspace.basis
+    restricted = QuandleRep(rep.quandle, B.conj().T @ rep.matrices @ B)
+    group = np.array(matrix_group(restricted, cap))
+    return character_norm(group, np.eye(subspace.dim), tol) == 1
 
 
 def invariant_complement_exists(rep: QuandleRep, W: Subspace,

@@ -10,16 +10,20 @@ from quandlelab.dihedral_reps import (
     opaque,
 )
 from quandlelab.errors import (
+    GroupNotFiniteError,
     InvalidParamsError,
     NotHomomorphismError,
     SingularMatrixError,
+    ToleranceFailureError,
 )
 from quandlelab.fields import build_field_q, primitive_elements
 from quandlelab.quandles import alexander, dihedral, trivial
 from quandlelab.reps import (
     QuandleRep,
     Subspace,
+    _finite_order_precheck,
     augmentation_split,
+    character_norm,
     check_rep,
     commutant_dimension,
     decompose,
@@ -132,15 +136,78 @@ def test_commutant_dimension_known_cases():
     assert commutant_dimension([np.eye(3, dtype=complex)]) == 9
 
 
+def orbital_count(Q) -> int:
+    """Orbits of Inn(Q) on X x X, by union-find over the pairs linked by
+    the right translations x -> x > y."""
+    n = Q.order
+    parent = list(range(n * n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for y in range(n):
+        for a in range(n):
+            for b in range(n):
+                parent[find(a * n + b)] = find(Q.op(a, y) * n + Q.op(b, y))
+    return len({find(i) for i in range(n * n)})
+
+
+@pytest.mark.parametrize("kind,order", [("dihedral", n) for n in range(3, 13)]
+                         + [("alexander", q) for q in (3, 4, 5, 7, 8, 9)])
+def test_character_norm_whole_space_is_orbital_count(kind, order):
+    """On the whole space of the regular representation <chi, chi> is the
+    commutant dimension, and the number of orbitals of Inn(Q)."""
+    if kind == "dihedral":
+        Q = dihedral(order)
+    else:
+        F = build_field_q(order)
+        Q = alexander(F, primitive_elements(F)[0])
+    rep = regular_rep(Q)
+    group = np.array(matrix_group(rep))
+    norm = character_norm(group, np.eye(Q.order, dtype=complex))
+    assert norm == commutant_dimension(rep.distinct_matrices())
+    assert norm == orbital_count(Q)
+
+
+def test_character_norm_counts_isomorphic_parts():
+    """The span of two parts has norm 2 when they are non-isomorphic and
+    4 when they are isomorphic; a basis that is not invariant is rejected."""
+    rep = regular_rep(dihedral(10))
+    group = np.array(matrix_group(rep))
+    parts = decompose(rep).parts
+    by_label = {}
+    for p in parts:
+        by_label.setdefault(str(p.label), []).append(p.subspace.basis)
+
+    def span_norm(a, b):
+        return character_norm(group, Subspace.from_span(np.hstack([a, b])).basis)
+
+    assert span_norm(*by_label["W(w5)"]) == 4
+    assert span_norm(*by_label["C(1,1)"]) == 4
+    assert span_norm(by_label["W(w5)"][0], by_label["W(w5^2)"][0]) == 2
+    assert span_norm(by_label["C(1,1)"][0], by_label["W(w5)"][0]) == 2
+
+    B = by_label["W(w5)"][0]
+    noise = np.random.default_rng(0).standard_normal(B.shape)
+    perturbed, _ = np.linalg.qr(B + 1e-2 * noise)
+    with pytest.raises(ToleranceFailureError, match="character norm"):
+        character_norm(group, perturbed)
+
+
 @pytest.mark.parametrize("n", [3, 4, 6, 9, 10, 12])
 def test_decompose_regular_structure(n):
     rep = regular_rep(dihedral(n))
     decomp = decompose(rep)
     assert decomp.complete
     assert sum(decomp.dims) == n
+    group = np.array(matrix_group(rep))
     for p in decomp.parts:
         assert invariance_residual(rep, p.subspace) <= 1e-9
         assert is_irreducible(rep, p.subspace)
+        assert character_norm(group, p.subspace.basis) == 1
     for i, p in enumerate(decomp.parts):
         for q in decomp.parts[i + 1:]:
             overlap = np.linalg.norm(p.subspace.basis.conj().T @ q.subspace.basis)
@@ -185,8 +252,54 @@ def test_decompose_similarity_conjugated_regular_rep(kind, order, alpha, s):
     want, got = decompose(plain), decompose(rep)
     assert sorted(got.dims) == sorted(want.dims)
     assert got.label_multiset() == want.label_multiset()
-    assert len(matrix_group(rep)) == len(matrix_group(plain))
+    group = np.array(matrix_group(rep))
+    assert len(group) == len(matrix_group(plain))
     assert all(is_irreducible(rep, p.subspace) for p in got.parts)
+    assert all(character_norm(group, p.subspace.basis) == 1 for p in got.parts)
+
+
+@pytest.mark.parametrize("n", [48, 100])
+def test_decompose_large_dihedral_matches_closed_form(n):
+    """Orders well past the acceptance range decompose with the theorem's
+    label multiset (n = 48 took about a minute under the Kronecker SVD)."""
+    decomp = decompose(regular_rep(dihedral(n)))
+    assert decomp.complete
+    assert decomp.label_multiset() == dihedral_closed_form(n).label_multiset()
+
+
+def conjugated(M, s):
+    S = np.random.default_rng(s).standard_normal(M.shape)
+    return (S @ M @ np.linalg.inv(S)).astype(complex)
+
+
+J3 = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=complex)
+
+
+@pytest.mark.parametrize("J", [J2, J3], ids=["J2", "J3"])
+@pytest.mark.parametrize("s", range(4))
+def test_finite_order_precheck_rejects_conjugated_jordan_block(J, s):
+    """Rounding splits the eigenvalue of S J S^-1 into nearly parallel
+    eigenvectors (cond 4e7..6e8 for J2), below the conditioning gate; the
+    repeated squares of the generator still outgrow the closure's bound."""
+    with pytest.raises(GroupNotFiniteError):
+        _finite_order_precheck([conjugated(J, s)])
+
+
+@pytest.mark.parametrize("lam", [1 - 1e-7, 1 + 1e-7])
+def test_finite_order_precheck_rejects_eigenvalue_just_off_circle(lam):
+    """|lam| - 1 = 1e-7 passes the unit-circle gate; the squares of the
+    generator or of its inverse still outgrow the closure's bound."""
+    with pytest.raises(GroupNotFiniteError):
+        _finite_order_precheck([conjugated(np.diag([lam, -1.0]), 0)])
+
+
+def test_finite_order_precheck_accepts_finite_order():
+    t = 2 * np.pi / 5
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    for s in range(4):
+        _finite_order_precheck([conjugated(np.diag([1.0, -1.0]), s)])
+        _finite_order_precheck([conjugated(rot, s)])
+    _finite_order_precheck(regular_rep(dihedral(12)).distinct_matrices())
 
 
 def test_decompose_deterministic():
