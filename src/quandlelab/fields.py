@@ -4,7 +4,10 @@ Elements are identified with integers in [0, q): the index i encodes the
 coefficient vector of a residue polynomial in little-endian base-p digits,
 so 0 is the zero element and 1 the multiplicative identity.  Multiplication
 goes through exp/log tables for a deterministically chosen primitive
-element; addition works on the coefficient digits directly.  Everything is
+element, and addition through the Zech logarithm of the same element,
+a + b = base^i (1 + base^(j-i)) for a = base^i, b = base^j (K. Huber, "Some
+comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990).  The digit
+arithmetic on coefficient vectors only builds the tables.  Everything is
 exact; the intended scale is q up to a few thousand.
 """
 
@@ -200,7 +203,9 @@ class FieldTable:
 
     The table's base primitive element is the least-index element of
     multiplicative order q-1; `exp_table[j]` is the index of base^j and
-    `log_table` inverts it on nonzero elements.
+    `log_table` inverts it on nonzero elements.  `zech[k]` is
+    log(1 + base^k), None where 1 + base^k = 0 (k = 0 for p = 2, k = (q-1)/2
+    for odd p), and `neg_table[a]` is the index of -a.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -222,6 +227,14 @@ class FieldTable:
             if self.log_table[idx] is not None:
                 raise AssertionError("exp table repeats an element")
             self.log_table[idx] = j
+        # 1 + e changes only digit 0 of e, which is e % p; log_table[0] is
+        # None, so zech[k] is None where 1 + base^k = 0
+        self.zech: list[int | None] = [
+            self.log_table[e + 1 if e % self.p != self.p - 1 else e + 1 - self.p]
+            for e in self.exp_table]
+        half = (self.q - 1) // 2 if self.p != 2 else 0  # log(-1)
+        self.neg_table = [0] + [self.exp_table[(j + half) % (self.q - 1)]
+                                for j in self.log_table[1:]]
 
     # -- element <-> coefficient vector --
 
@@ -243,15 +256,20 @@ class FieldTable:
     # -- arithmetic --
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        return sum((((a // pk) % p + (b // pk) % p) % p) * pk for pk in self._pow_p)
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        m = self.q - 1
+        la = self.log_table[a]
+        z = self.zech[(self.log_table[b] - la) % m]
+        return 0 if z is None else self.exp_table[(la + z) % m]
 
     def neg(self, a: int) -> int:
-        p = self.p
-        return sum(((-((a // pk) % p)) % p) * pk for pk in self._pow_p)
+        return self.neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.add(a, self.neg_table[b])
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -31,7 +31,7 @@ Perm = tuple[int, ...]
 
 def compose(s: Perm, t: Perm) -> Perm:
     """Apply t, then s."""
-    return tuple(s[t[i]] for i in range(len(t)))
+    return tuple(map(s.__getitem__, t))
 
 
 def perm_inverse(s: Perm) -> Perm:
@@ -132,7 +132,7 @@ def check_axioms(table) -> AxiomReport:
     for z in range(n):
         col = T[:, z]
         lhs = col[T]                      # (x>y)>z
-        rhs = T[np.ix_(col, col)]         # (x>z)>(y>z)
+        rhs = T.take(col, axis=0).take(col, axis=1)  # (x>z)>(y>z)
         if not np.array_equal(lhs, rhs):
             distributive = False
             bad = np.argwhere(lhs != rhs)
@@ -160,7 +160,7 @@ class Quandle:
                 raise MalformedTableError(f"not a quandle: {report.failures[:5]}")
         self.order = int(self.table.shape[0])
         self.label = label
-        self._rows = [tuple(int(v) for v in row) for row in self.table]
+        self._rows = self.table.tolist()
         self._inner: PermGroup | None = None
 
     def op(self, x: int, y: int) -> int:
@@ -222,9 +222,9 @@ def alexander(F: FieldTable, alpha: int) -> Quandle:
     if alpha == 0:
         raise InvalidParamsError("alpha must be nonzero for translations to be bijective")
     one_minus = F.sub(1, alpha)
-    n = F.q
-    table = [[F.add(F.mul(alpha, x), F.mul(one_minus, y)) for y in range(n)]
-             for x in range(n)]
+    ax = [F.mul(alpha, x) for x in range(F.q)]
+    by = [F.mul(one_minus, y) for y in range(F.q)]
+    table = [[F.add(a, b) for b in by] for a in ax]
     return Quandle(table, label=f"alexander q={F.q} alpha-log={F.log(alpha)}")
 
 
@@ -301,9 +301,12 @@ def orbits(Q: Quandle) -> list[list[int]]:
 
 
 def inner_group(Q: Quandle, cap: int = 10 ** 6) -> PermGroup:
-    """The permutation group generated by all right translations."""
+    """The permutation group generated by the right translations, Inn(Q).
+
+    Its generators are the translations of `generating_set(Q)`: since
+    R_{x > y} = R_y R_x R_y^{-1}, they generate every translation."""
     if Q._inner is None or len(Q._inner.elements) > cap:
-        gens = sorted(set(Q.translation(t) for t in range(Q.order)))
+        gens = sorted(set(Q.translation(t) for t in generating_set(Q)))
         Q._inner = PermGroup(gens, perm_closure(gens, cap))
     return Q._inner
 

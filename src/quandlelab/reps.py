@@ -227,11 +227,10 @@ def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> list[np.ndarray]:
     Raises GroupNotFiniteError when the cap is hit.
     """
     if is_permutation_rep(rep):
-        perms = sorted({tuple(int(np.argmax(rep.matrices[t].real[:, j]))
-                              for j in range(rep.dim))
-                        for t in range(rep.quandle.order)})
+        # column j of a permutation matrix has its one in row perm[j]
+        perms = sorted(set(map(tuple, rep.matrices.real.argmax(axis=1).tolist())))
         try:
-            closed = perm_closure(list(perms), cap)
+            closed = perm_closure(perms, cap)
         except ClosureBudgetError as exc:
             raise GroupNotFiniteError(str(exc)) from exc
         out = []
@@ -485,7 +484,12 @@ def _decompose_infinite(rep: QuandleRep, tol: float) -> Decomposition:
 def is_irreducible(rep: QuandleRep, subspace: Subspace,
                    cap: int = 10 ** 6, tol: float = 1e-8) -> bool:
     """Schur certificate on an invariant subspace: the character norm of
-    the restricted image group, which must be finite, is one."""
+    the restricted image group, which must be finite, is one.  A subspace
+    whose invariance residual exceeds INVARIANCE_TOL raises
+    InvalidParamsError: the restriction would not be a representation."""
+    res = invariance_residual(rep, subspace)
+    if res > INVARIANCE_TOL:
+        raise InvalidParamsError(f"subspace is not invariant (residual {res:.2e})")
     B = subspace.basis
     restricted = QuandleRep(rep.quandle, B.conj().T @ rep.matrices @ B)
     group = np.array(matrix_group(restricted, cap))

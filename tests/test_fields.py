@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from quandlelab.errors import NotPrimeError, NotPrimitiveError, ReducibleModulusError, ZeroArgumentError
@@ -10,10 +11,12 @@ from quandlelab.fields import (
     discrete_log,
     euler_phi,
     is_irreducible,
+    poly_add,
     poly_gcd,
     poly_mul,
     primitive_elements,
 )
+from quandlelab.polysys import prime_powers_upto
 
 
 def test_rejects_composite_characteristic():
@@ -48,6 +51,42 @@ def test_gf4_addition_cancels(F4):
     t = 2
     assert F4.add(t, t ^ 1) == 1
     assert F4.add(t, t) == 0
+
+
+def _digit_add(F, a, b):
+    """Oracle: add the coefficient vectors digit by digit."""
+    return F.from_coeffs(poly_add(F.coeffs(a), F.coeffs(b), F.p))
+
+
+def _digit_neg(F, a):
+    return F.from_coeffs([-c % F.p for c in F.coeffs(a)])
+
+
+def _check_table_arithmetic(F, pairs):
+    for a in range(F.q):
+        assert F.neg(a) == _digit_neg(F, a)
+        assert F.add(a, F.neg(a)) == 0
+    for a, b in pairs:
+        assert F.add(a, b) == _digit_add(F, a, b)
+        assert F.sub(a, b) == _digit_add(F, a, _digit_neg(F, b))
+        assert F.neg(F.add(a, b)) == _digit_add(F, F.neg(a), F.neg(b))
+
+
+@pytest.mark.parametrize("q", prime_powers_upto(64, minimum=2))
+def test_zech_arithmetic_matches_digits_on_every_pair(q):
+    F = build_field_q(q)
+    _check_table_arithmetic(F, [(a, b) for a in range(q) for b in range(q)])
+
+
+@pytest.mark.parametrize("q", [81, 125, 128, 243, 256, 729, 1024])
+def test_zech_arithmetic_matches_digits_on_sampled_pairs(q):
+    F = build_field_q(q)
+    rng = np.random.default_rng(q)
+    pairs = [tuple(pair) for pair in rng.integers(0, q, size=(2000, 2)).tolist()]
+    # the zero cases and the cancelling pairs, where the Zech entry is empty
+    pairs += [(0, 0), (0, q - 1), (q - 1, 0), (1, F.neg(1))]
+    pairs += [(a, F.neg(a)) for a in rng.integers(1, q, size=50).tolist()]
+    _check_table_arithmetic(F, pairs)
 
 
 def _poly_ext_gcd(a, b, p):

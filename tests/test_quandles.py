@@ -7,7 +7,13 @@ from quandlelab.errors import (
     MalformedTableError,
     OrderTooSmallError,
 )
-from quandlelab.fields import build_field
+from quandlelab.fields import (
+    build_field,
+    build_field_q,
+    poly_add,
+    primitive_elements,
+)
+from quandlelab.polysys import prime_powers_upto
 from quandlelab.quandles import (
     Quandle,
     alexander,
@@ -16,10 +22,12 @@ from quandlelab.quandles import (
     core_quandle,
     dihedral,
     find_isomorphism,
+    generating_set,
     inner_group,
     is_cyclic_type,
     is_dihedral_group,
     orbits,
+    perm_closure,
     trivial,
     validate_group,
 )
@@ -128,6 +136,19 @@ def test_inner_group_dihedral():
     assert inner_group(trivial(6)).order == 1
 
 
+def test_inner_group_from_generating_set_is_all_translations():
+    quandles = [dihedral(n) for n in range(3, 13)]
+    for q in prime_powers_upto(16, minimum=2):
+        F = build_field_q(q)
+        quandles += [alexander(F, a) for a in primitive_elements(F)]
+    quandles += [conj_quandle(s3_table()), core_quandle(s3_table()), trivial(5)]
+    for Q in quandles:
+        translations = sorted({Q.translation(t) for t in range(Q.order)})
+        G = inner_group(Q)
+        assert G.elements == perm_closure(translations), Q
+        assert set(G.generators) == {Q.translation(t) for t in generating_set(Q)}
+
+
 def test_inner_group_acts_by_automorphisms():
     for Q in (dihedral(6), dihedral(7), alexander(build_field(3, 2), 2)):
         for g in inner_group(Q).elements:
@@ -152,6 +173,21 @@ def test_cyclic_type_iff_alexander_with_primitive(q):
     for a in range(1, q):
         Q = alexander(F, a)
         assert is_cyclic_type(Q) == F.is_primitive(a)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 125])
+def test_alexander_table_matches_digit_arithmetic(q):
+    F = build_field_q(q)
+    p = F.p
+    # for q = 125, three primitive elements and base^4, which is not primitive
+    alphas = range(1, q) if q < 125 else primitive_elements(F)[:3] + [F.exp_table[4]]
+    for a in alphas:
+        one_minus = F.from_coeffs(poly_add((1,), tuple(-c % p for c in F.coeffs(a)), p))
+        assert one_minus == F.sub(1, a)
+        ax = [F.coeffs(F._mul_poly(a, x)) for x in range(q)]
+        by = [F.coeffs(F._mul_poly(one_minus, y)) for y in range(q)]
+        expected = [[F.from_coeffs(poly_add(u, v, p)) for v in by] for u in ax]
+        assert alexander(F, a).table.tolist() == expected
 
 
 def test_cyclic_type_implies_connected():

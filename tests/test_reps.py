@@ -19,6 +19,7 @@ from quandlelab.errors import (
 from quandlelab.fields import build_field_q, primitive_elements
 from quandlelab.quandles import alexander, dihedral, trivial
 from quandlelab.reps import (
+    INVARIANCE_TOL,
     QuandleRep,
     Subspace,
     _finite_order_precheck,
@@ -492,3 +493,19 @@ def test_matrix_json_round_trip():
     data = matrix_to_json(M)
     assert data[0][0] == [1.0, 2.0]
     assert np.array_equal(matrix_from_json(data), M)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-6])
+def test_is_irreducible_rejects_a_perturbed_subspace(eps):
+    # a W(w5) basis moved off its invariant plane: residuals 7e-8 .. 7e-6,
+    # all above INVARIANCE_TOL; the certificate must not run on it
+    rep = regular_rep(dihedral(10))
+    w = next(p for p in dihedral_closed_form(10).parts if str(p.label) == "W(w5)")
+    B = w.subspace.basis
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal(B.shape) + 1j * rng.standard_normal(B.shape)
+    perturbed = Subspace(np.linalg.qr(B + eps * noise)[0])
+    assert invariance_residual(rep, perturbed) > 10 * INVARIANCE_TOL
+    with pytest.raises(InvalidParamsError, match="not invariant"):
+        is_irreducible(rep, perturbed)
+    assert is_irreducible(rep, w.subspace)
