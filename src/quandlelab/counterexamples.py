@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidParamsError
 from .quandles import Quandle, conj_quandle, dihedral, orbits
 from .reps import (
+    CLUSTER_TOL,
     Decomposition,
     QuandleRep,
     Subspace,
@@ -28,6 +28,8 @@ from .reps import (
     cluster_complex,
     decompose,
     invariant_complement_exists,
+    kernel,
+    rank,
 )
 
 
@@ -37,7 +39,7 @@ def orbit_rep(Q: Quandle, B, orbit_of: int = 1) -> QuandleRep:
     B = np.asarray(B, dtype=complex)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise InvalidParamsError("B must be square")
-    if abs(np.linalg.det(B)) < 1e-12:
+    if rank(B, 1e-12) < B.shape[0]:
         raise InvalidParamsError("B must be invertible")
     special = next(o for o in orbits(Q) if orbit_of % Q.order in o)
     d = B.shape[0]
@@ -71,17 +73,15 @@ class MultiplicityData:
         return self.sum_geometric == self.sum_algebraic
 
 
-def multiplicity_data(B, tol: float = 1e-8) -> MultiplicityData:
+def multiplicity_data(B, tol: float = CLUSTER_TOL) -> MultiplicityData:
     B = np.asarray(B, dtype=complex)
     vals = np.linalg.eigvals(B)
     eigs, alg, geo = [], [], []
-    scale = max(1.0, float(np.linalg.norm(B)))
     for idx in cluster_complex(vals, tol):
         lam = complex(vals[idx].mean())
         eigs.append(lam)
         alg.append(len(idx))
-        geo.append(scipy.linalg.null_space(B - lam * np.eye(B.shape[0]),
-                                           rcond=tol * scale).shape[1])
+        geo.append(B.shape[0] - rank(B - lam * np.eye(B.shape[0]), tol))
     return MultiplicityData(eigs, alg, geo)
 
 
@@ -127,7 +127,7 @@ def maschke_counterexample(n: int, B, Q: Quandle | None = None) -> MaschkeReport
             break
     if lam is None:
         lam = mult.eigenvalues[0]
-    line = scipy.linalg.null_space(Bc - lam * np.eye(d), rcond=1e-8)[:, :1]
+    line = kernel(Bc - lam * np.eye(d), 1e-8)[:, :1]
     witness = Subspace.from_span(line)
     complement = invariant_complement_exists(rep, witness)
     decomp = decompose(rep, label=False)

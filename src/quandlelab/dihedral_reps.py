@@ -26,6 +26,7 @@ from .reps import (
     QuandleRep,
     Subspace,
     invariance_residual,
+    rank,
     regular_rep,
 )
 
@@ -102,7 +103,7 @@ def label_part(rep: QuandleRep, sub: Subspace, r: int | None = None,
     u = vecs[:, 0]
     v = G1 @ u
     P = np.column_stack([u, v])
-    if abs(np.linalg.det(P)) < tol:
+    if rank(P, tol) < 2:
         return opaque(2)
     Pinv = np.linalg.inv(P)
     swap = np.array([[0, 1], [1, 0]])

@@ -172,7 +172,8 @@ class PresentationContext:
     (1-alpha) g with its inverse, and the Zech-style pairing table
     phi[k] = log(1 - alpha^k) for 1 <= k <= q-2 that drives the rewriting
     (phi[0] is a placeholder).  The table is built once, here, and every
-    consumer reads it."""
+    consumer reads it: with alpha = base^a and -1 = base^h, phi[k] is
+    zech[(a k + h) mod (q-1)] * a^-1 mod (q-1)."""
 
     def __init__(self, F: FieldTable, alpha: int):
         if F.q <= 2:
@@ -185,11 +186,12 @@ class PresentationContext:
         self.m = F.q - 1
         la = F.log(alpha)
         inv_la = pow(la, -1, self.m)
-        self._dlog = [None] + [(F.log(v) * inv_la) % self.m for v in range(1, F.q)]
+        h = F.log_table[F.neg_table[1]]
+        self._dlog = [None] + [(j * inv_la) % self.m for j in F.log_table[1:]]
         self.one_minus_alpha = F.sub(1, alpha)
         self.inv_alpha = F.inv(alpha)
         self.phi: tuple[int, ...] = (0,) + tuple(
-            self._dlog[F.sub(1, F.pow(alpha, k))] for k in range(1, self.m))
+            (F.zech[(la * k + h) % self.m] * inv_la) % self.m for k in range(1, self.m))
 
     def dlog(self, v: int) -> int:
         if v == 0:

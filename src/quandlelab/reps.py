@@ -10,6 +10,13 @@ certified irreducible by the character norm of the finite image group,
 For images that generate an infinite group the decomposition degrades to a
 search for one-dimensional invariant subspaces and reports incompleteness
 instead of guessing.
+
+Every numerical rank in the library (kernels, spans, ranks and the
+invertibility gates) reads one rule on `np.linalg.svd`, `_rank_cut`: keep
+the singular values s > rtol * max(s_0, 1), s_0 the largest; each call site
+picks rtol.  Being relative, it counts an invertible image whose condition
+number exceeds 1/rtol as singular.  scipy is imported only inside
+`cyclic_reps.rigidity_check`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ClosureBudgetError,
@@ -31,6 +37,22 @@ from .quandles import Quandle, perm_closure
 
 INVARIANCE_TOL = 1e-9
 CLUSTER_TOL = 1e-8
+
+
+def _rank_cut(s: np.ndarray, rtol: float) -> int:
+    """The one rank rule: how many singular values s (descending) exceed
+    rtol * max(s[0], 1)."""
+    return int(np.sum(s > rtol * max(s[0], 1.0))) if s.size else 0
+
+
+def rank(A: np.ndarray, rtol: float) -> int:
+    return _rank_cut(np.linalg.svd(A, compute_uv=False), rtol)
+
+
+def kernel(A: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal columns spanning the numerical kernel of A."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    return np.ascontiguousarray(vh[_rank_cut(s, rtol):].conj().T)
 
 
 def _round_key(m: np.ndarray, decimals: int) -> bytes:
@@ -70,8 +92,7 @@ class RepCheck:
 def validate_rep(Q: Quandle, matrices, tol: float = INVARIANCE_TOL) -> RepCheck:
     """Report conjugation-law residuals and singular images without raising."""
     mats = _as_matrix_stack(Q, matrices)
-    singular = [x for x in range(Q.order)
-                if abs(np.linalg.det(mats[x])) < tol]
+    singular = [x for x in range(Q.order) if rank(mats[x], tol) < mats.shape[1]]
     violations = []
     inv = [None if x in singular else np.linalg.inv(mats[x]) for x in range(Q.order)]
     for y in range(Q.order):
@@ -156,8 +177,7 @@ class Subspace:
         if cols.shape[0] == 1 and cols.shape[1] > 1:
             cols = cols.T
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
-        return cls(np.ascontiguousarray(u[:, :rank]))
+        return cls(np.ascontiguousarray(u[:, :_rank_cut(s, tol)]))
 
     @property
     def dim(self) -> int:
@@ -186,8 +206,7 @@ def augmentation_split(rep: QuandleRep) -> tuple[Subspace, Subspace]:
         raise InvalidParamsError("augmentation split needs a permutation representation")
     d = rep.dim
     ones = Subspace(np.full((d, 1), 1 / np.sqrt(d), dtype=complex))
-    comp = Subspace(np.ascontiguousarray(
-        scipy.linalg.null_space(np.ones((1, d))).astype(complex)))
+    comp = Subspace(kernel(np.ones((1, d)), 1e-10).astype(complex))
     return ones, comp
 
 
@@ -209,7 +228,7 @@ def _finite_order_precheck(gens: list[np.ndarray]) -> float:
         vals, vecs = np.linalg.eig(g)
         if np.max(np.abs(np.abs(vals) - 1)) > 1e-6:
             raise GroupNotFiniteError("a generator has an eigenvalue off the unit circle")
-        if np.linalg.cond(vecs) > 1e10:
+        if rank(vecs, 1e-10) < len(vecs):
             raise GroupNotFiniteError("a generator is not diagonalizable")
         for power in (g, np.linalg.inv(g)):
             for _ in range(40):
@@ -262,16 +281,13 @@ def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> list[np.ndarray]:
 
 
 def commutant_dimension(mats: list[np.ndarray], tol: float = 1e-8) -> int:
-    """Dimension of {X : XM = MX for all M}, via the nullspace of the
-    stacked Sylvester operators.  `decompose` and `is_irreducible` no longer
-    call it: they certify through `character_norm`, which needs no SVD of a
-    (len(mats) k^2) x k^2 matrix."""
+    """Dimension of {X : XM = MX for all M}, the kernel of the stacked
+    Sylvester operators.  `decompose` and `is_irreducible` certify through
+    `character_norm` instead, which needs no (len(mats) k^2) x k^2 SVD."""
     k = mats[0].shape[0]
     I = np.eye(k)
     A = np.vstack([np.kron(m, I) - np.kron(I, m.T) for m in mats])
-    s = np.linalg.svd(A, compute_uv=False)  # len(s) == k*k
-    cutoff = tol * max(s[0], 1.0)
-    return int(np.sum(s <= cutoff))
+    return k * k - rank(A, tol)
 
 
 def character_norm(group: np.ndarray, basis: np.ndarray,
@@ -378,12 +394,14 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
         return _decompose_infinite(rep, tol)
 
     # a finite matrix group can always be made unitary: average the Gram
-    # matrix over the group and conjugate by its square root
+    # matrix over the group and conjugate by its square root V sqrt(w) V^H,
+    # the average being Hermitian positive definite
     G = np.array(group)
     gram = G.conj().transpose(0, 2, 1) @ G
     back = None
     if not np.allclose(gram, np.eye(rep.dim), atol=1e-9):
-        T = scipy.linalg.sqrtm(gram.mean(axis=0))
+        w, V = np.linalg.eigh(gram.mean(axis=0))
+        T = (V * np.sqrt(w)) @ V.conj().T
         Tinv = np.linalg.inv(T)
         G = T @ G @ Tinv
         back = Tinv
@@ -419,7 +437,7 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
         parts = [Part(Subspace.from_span(back @ p.subspace.basis),
                       irreducible=p.irreducible) for p in parts]
         stacked = np.hstack([p.subspace.basis for p in parts])
-        if np.linalg.matrix_rank(stacked, tol=1e-9) != rep.dim:
+        if rank(stacked, 1e-9) != rep.dim:
             raise ToleranceFailureError("transformed parts do not span the space")
     parts = _sorted_parts(parts)
     for p in parts:
@@ -433,7 +451,8 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
     return decomp
 
 
-def _common_eigen_lines(mats: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
+def _common_eigen_lines(mats: list[np.ndarray],
+                        tol: float = INVARIANCE_TOL) -> list[np.ndarray]:
     """Unit vectors spanning all one-dimensional common invariant subspaces."""
     d = mats[0].shape[0]
 
@@ -447,12 +466,9 @@ def _common_eigen_lines(mats: list[np.ndarray], tol: float = 1e-9) -> list[np.nd
                     > tol * scale:
                 vals = np.linalg.eigvals(r)
                 lines: list[np.ndarray] = []
-                for idx in cluster_complex(vals, 1e-8):
+                for idx in cluster_complex(vals, CLUSTER_TOL):
                     lam = vals[idx].mean()
-                    eigbasis = scipy.linalg.null_space(r - lam * np.eye(r.shape[0]),
-                                                       rcond=1e-10)
-                    if eigbasis.shape[1] == 0:
-                        continue
+                    eigbasis = kernel(r - lam * np.eye(r.shape[0]), 1e-10)
                     sub = basis @ eigbasis
                     q, _ = np.linalg.qr(sub)
                     lines.extend(recurse(q, remaining[i + 1:] + remaining[:i]))
@@ -468,21 +484,21 @@ def _decompose_infinite(rep: QuandleRep, tol: float) -> Decomposition:
     gens = rep.distinct_matrices()
     lines = _common_eigen_lines(gens, tol)
     parts: list[Part] = []
-    span: np.ndarray | None = None
+    span = np.zeros((rep.dim, 0), dtype=complex)
     for v in lines:
-        cand = v.reshape(-1, 1) if span is None else np.hstack([span, v.reshape(-1, 1)])
-        if np.linalg.matrix_rank(cand, tol=1e-9) == cand.shape[1]:
+        cand = np.hstack([span, v.reshape(-1, 1)])
+        if rank(cand, 1e-9) == cand.shape[1]:
             span = cand
             parts.append(Part(Subspace.from_span(v.reshape(-1, 1)),
                               label=opaque(1), irreducible=True))
-    covered = 0 if span is None else span.shape[1]
+    covered = span.shape[1]
     return Decomposition(parts=_sorted_parts(parts),
                          complete=(covered == rep.dim),
                          residual_dim=rep.dim - covered)
 
 
 def is_irreducible(rep: QuandleRep, subspace: Subspace,
-                   cap: int = 10 ** 6, tol: float = 1e-8) -> bool:
+                   cap: int = 10 ** 6, tol: float = CLUSTER_TOL) -> bool:
     """Schur certificate on an invariant subspace: the character norm of
     the restricted image group, which must be finite, is one.  A subspace
     whose invariance residual exceeds INVARIANCE_TOL raises
@@ -512,10 +528,8 @@ def invariant_complement_exists(rep: QuandleRep, W: Subspace,
     k = W.dim
     if k == d:
         return None
-    U0 = Subspace(np.ascontiguousarray(
-        scipy.linalg.null_space(W.basis.conj().T).astype(complex)))
-    m = U0.dim
-    BW, BU = W.basis, U0.basis
+    BW, BU = W.basis, kernel(W.basis.conj().T, 1e-10)   # BU: orthonormal complement U0
+    m = BU.shape[1]
     Ik, Im = np.eye(k), np.eye(m)
     blocks, rhs = [], []
     for g in rep.distinct_matrices():
@@ -535,6 +549,6 @@ def invariant_complement_exists(rep: QuandleRep, W: Subspace,
         return None
     if invariance_residual(rep, comp) > 1e-7:
         return None
-    if np.linalg.matrix_rank(np.hstack([W.basis, comp.basis]), tol=1e-9) != d:
+    if rank(np.hstack([W.basis, comp.basis]), 1e-9) != d:
         return None
     return comp

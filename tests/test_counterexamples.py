@@ -30,6 +30,29 @@ def test_orbit_rep_rejects_singular():
         orbit_rep(dihedral(4), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_orbit_rep_invertibility_is_a_rank_cut(d):
+    for c in (0.01, 0.05):
+        assert orbit_rep(dihedral(4), c * np.eye(d)).dim == d
+    rng = np.random.default_rng(d)
+    deficient = rng.standard_normal((d, d - 1)) @ rng.standard_normal((d - 1, d))
+    for B in (np.zeros((d, d)), 1e4 * deficient):
+        with pytest.raises(InvalidParamsError):
+            orbit_rep(dihedral(4), B)
+
+
+@pytest.mark.parametrize("c", [1e3, 2e4, 1e5])
+def test_multiplicity_data_jordan_block_beside_a_far_eigenvalue(c):
+    """The cut is tol relative to B - lam I's own scale, not also times |B|,
+    which would call J_2(1) diagonalizable beside an eigenvalue 2e4."""
+    B = np.zeros((3, 3), dtype=complex)
+    B[:2, :2] = J2
+    B[2, 2] = c
+    m = multiplicity_data(B)
+    assert (m.algebraic, m.geometric) == ([2, 1], [1, 1])
+    assert not maschke_counterexample(2, B).completely_reducible
+
+
 def test_multiplicity_data_jordan_block():
     m = multiplicity_data(J2)
     assert m.sum_algebraic == 2

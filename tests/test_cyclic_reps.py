@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +14,7 @@ from quandlelab.cyclic_reps import (
     kth_power_maximal,
     rigidity_check,
 )
-from quandlelab.errors import IllConditionedError, InvalidParamsError
+from quandlelab.errors import IllConditionedError, InvalidParamsError, VerificationFailureError
 from quandlelab.quandles import trivial
 
 
@@ -198,6 +201,58 @@ def test_constant_rep_decompose_rejects_singular():
         constant_rep_decompose(np.diag([1.0, 0.0]), trivial(1))
 
 
+def test_constant_rep_decompose_exact_jordan_blocks_of_size_three():
+    """The computed eigenvalue of J_3(lam) can sit an ulp off lam; the
+    kernels of (M - lam I)^j are then cut at rtol * max(s_0, 1), not at
+    rtol * s_0 of a power whose entries are all rounding."""
+    for lam in np.random.default_rng(0).uniform(0.2, 3.0, 200):
+        M = JordanSpec(((lam, 3),)).matrix()
+        assert constant_rep_decompose(M, trivial(1)).dims == [3], lam
+
+
+@pytest.mark.parametrize("blocks", [((1.0, 3), (1000.0, 1)), ((1.0, 2), (2e4, 1)),
+                                    ((1.0, 3), (1e4, 1)), ((1000.0, 3), (1.0, 1)),
+                                    ((700.0, 3), (2.0, 2), (2.0, 1))])
+def test_jordan_structure_beside_a_far_eigenvalue(blocks):
+    """The kernels of (M - lam I)^j are cut at the scale of M - lam I, not
+    of its j-th power, which grows as the far eigenvalue to the j."""
+    M = JordanSpec(blocks).matrix()
+    want = JordanSpec(blocks).blocks
+    assert JordanSpec.from_matrix(M).blocks == want
+    assert constant_rep_decompose(M, trivial(1)).spec.blocks == want
+
+
+@pytest.mark.parametrize("blocks", [((2.0, 2),), ((2.0, 3),), ((2.0, 2), (3.0, 1)),
+                                    ((1.5, 2), (-1.0, 2), (2.0, 1))])
+def test_constant_rep_decompose_never_returns_more_than_the_space(blocks):
+    """Conjugated Jordan blocks split beyond the clustering tolerance; the
+    result may still be wrong or raise, but its chains never add up to
+    more vectors than the dimension."""
+    J = JordanSpec(blocks).matrix()
+    for s in range(5):
+        S = np.random.default_rng(s).standard_normal(J.shape)
+        try:
+            dims = constant_rep_decompose(S @ J @ np.linalg.inv(S), trivial(1)).dims
+        except (IllConditionedError, VerificationFailureError):
+            continue
+        assert sum(dims) == len(J)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_invertibility_gates_are_rank_cuts(d, F5):
+    for c in (0.01, 0.05):
+        assert constant_rep_decompose(c * np.eye(d), trivial(1)).dims == [1] * d
+        assert analyze_2d_pair(F5, 2, c * np.eye(2), c * np.eye(2)).kind == "constant"
+    rng = np.random.default_rng(d)
+    deficient = rng.standard_normal((d, d - 1)) @ rng.standard_normal((d - 1, d))
+    for M in (np.zeros((d, d)), 1e4 * deficient):
+        with pytest.raises(IllConditionedError):
+            constant_rep_decompose(M, trivial(1))
+        if d == 2:
+            verdict = analyze_2d_pair(F5, 2, M, np.eye(2))
+            assert verdict.violated == "images must be invertible"
+
+
 def test_rigidity_requires_power_maximal(F5):
     # eigenvalues 1 and -1 share their fourth power
     with pytest.raises(InvalidParamsError):
@@ -223,3 +278,26 @@ def test_rigidity_small_search_finds_nothing(F5):
     report = rigidity_check(spec, F5, 2, restarts=25, seed=0)
     assert not report.found_counterexample
     assert report.converged_to_J + len(report.candidates) == 25
+
+
+def test_benchmark_tracer_counts_rigidity_least_squares(F5):
+    """`perfbench/tracing.py` wraps library names and rebinds
+    `scipy.optimize.least_squares`; a renamed function or a broken lazy
+    import in `rigidity_check` fails here as well as under `--trace 1`."""
+    import quandlelab.cli  # noqa: F401  (the tracer wraps cli.main)
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        rigidity_check(JordanSpec(((2, 1), (3, 1))), F5, 2, restarts=3, seed=0)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["cyclic_reps.lsq_calls"] == 3
+    assert metrics["cyclic_reps.lsq_nfev"] > 0

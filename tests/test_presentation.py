@@ -114,10 +114,10 @@ def test_normalize_matches_field_on_random_words(F7):
 
 # -- the pairing table --
 
-@pytest.mark.parametrize("q", prime_powers_upto(32, minimum=3))
+@pytest.mark.parametrize("q", prime_powers_upto(64, minimum=3))
 def test_pairing_table_is_log_of_one_minus_power(q):
-    """phi[k] against powers of alpha by repeated multiplication and
-    1 - alpha^k on the coefficient digits."""
+    """phi[k] and the logs to alpha against powers of alpha by repeated
+    multiplication and 1 - alpha^k on the coefficient digits."""
     F = build_field_q(q)
     for alpha in primitive_elements(F):
         ctx = PresentationContext(F, alpha)
@@ -125,6 +125,7 @@ def test_pairing_table_is_log_of_one_minus_power(q):
         for _ in range(q - 2):
             powers.append(F.mul(powers[-1], alpha))
         assert len(ctx.phi) == q - 1
+        assert [ctx.dlog(v) for v in powers] == list(range(q - 1))
         for k in range(1, q - 1):
             digits = [-c for c in F.coeffs(powers[k])] or [0]
             digits[0] += 1

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quandlelab.dihedral_reps import (
     C,
@@ -31,7 +37,9 @@ from quandlelab.reps import (
     invariance_residual,
     invariant_complement_exists,
     is_irreducible,
+    kernel,
     matrix_group,
+    rank,
     regular_rep,
     validate_rep,
 )
@@ -75,6 +83,34 @@ def test_check_rep_rejects_singular():
     mats = np.array([np.eye(2), np.array([[1, 0], [0, 0]])])
     with pytest.raises(SingularMatrixError):
         check_rep(Q, mats)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("c", [0.01, 0.05])
+def test_small_scalar_images_are_invertible(c, d):
+    """Invertibility is a rank cut, not |det| < tol: (0.05)^8 is 4e-11."""
+    mats = np.array([c * np.eye(d)] * 3)
+    assert validate_rep(dihedral(3), mats).ok
+    assert check_rep(dihedral(3), mats).dim == d
+
+
+def test_images_past_the_condition_cut_are_singular():
+    """A well-scaled image whose condition number exceeds 1/tol counts as
+    singular, though |det| = 1: s_1 = 1e-5 <= 1e-9 * s_0."""
+    mats = np.array([np.diag([1e5, 1e-5])] * 3)
+    assert validate_rep(dihedral(3), mats).singular == [0, 1, 2]
+    assert validate_rep(dihedral(3), mats, tol=1e-11).singular == []
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_singular_images_rejected_at_any_scale(d):
+    rng = np.random.default_rng(d)
+    deficient = rng.standard_normal((d, d - 1)) @ rng.standard_normal((d - 1, d))
+    for M in (np.zeros((d, d)), np.diag([1.0] * (d - 1) + [0.0]), 1e4 * deficient):
+        mats = np.array([M] * 3)
+        assert validate_rep(dihedral(3), mats).singular == [0, 1, 2]
+        with pytest.raises(SingularMatrixError):
+            check_rep(dihedral(3), mats)
 
 
 def test_regular_rep_dihedral6_matrices():
@@ -509,3 +545,69 @@ def test_is_irreducible_rejects_a_perturbed_subspace(eps):
     with pytest.raises(InvalidParamsError, match="not invariant"):
         is_irreducible(rep, perturbed)
     assert is_irreducible(rep, w.subspace)
+
+
+# -- the one rank cut --
+
+def _planted_rank(rng, d: int, r: int, conjugate: bool) -> np.ndarray:
+    """A complex d x d matrix of rank r with nonzero singular values in
+    [0.5, 3], similarity-conjugated by a seeded S when asked."""
+    def gaussian():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    U, _ = np.linalg.qr(gaussian())
+    V, _ = np.linalg.qr(gaussian())
+    s = np.zeros(d)
+    s[:r] = rng.uniform(0.5, 3.0, r)
+    A = (U * s) @ V.conj().T
+    if conjugate:
+        S = gaussian()
+        A = S @ A @ np.linalg.inv(S)
+    return A
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_kernel_and_rank_match_scipy_and_numpy(d, conjugate):
+    rng = np.random.default_rng(10 * d + conjugate)
+    for r in range(d + 1):
+        A = _planted_rank(rng, d, r, conjugate)
+        assert rank(A, 1e-10) == np.linalg.matrix_rank(A) == r
+        K = kernel(A, 1e-10)
+        assert K.shape == scipy.linalg.null_space(A, rcond=1e-10).shape == (d, d - r)
+        assert np.linalg.norm(A @ K) < 1e-10 * max(1.0, np.linalg.norm(A))
+        assert np.allclose(K.conj().T @ K, np.eye(d - r), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_kernel_of_wide_matrices(d):
+    rng = np.random.default_rng(d)
+    for rows in range(1, d + 1):
+        A = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+        K = kernel(A, 1e-10)
+        assert K.shape == scipy.linalg.null_space(A, rcond=1e-10).shape == (d, d - rows)
+        assert np.linalg.norm(A @ K) < 1e-12 * np.linalg.norm(A)
+        assert np.allclose(K.conj().T @ K, np.eye(d - rows), atol=1e-12)
+
+
+def test_rank_cut_floors_the_largest_singular_value_at_one():
+    """The cut is s > rtol * max(s_0, 1): below unit scale it is rtol
+    itself, where scipy's null_space cuts at rcond * s_0."""
+    A = np.diag([1e-3, 1e-12])
+    assert rank(A, 1e-10) == 1
+    assert kernel(A, 1e-10).shape == (2, 1)
+    assert scipy.linalg.null_space(A, rcond=1e-10).shape == (2, 0)
+    assert rank(1e4 * A, 1e-10) == 2
+    assert rank(np.zeros((3, 3)), 1e-10) == 0
+    assert kernel(np.zeros((3, 3)), 1e-10).shape == (3, 3)
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported only inside `rigidity_check`."""
+    code = ("import sys, quandlelab, quandlelab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
