@@ -22,13 +22,13 @@ from .quandles import Quandle, conj_quandle, dihedral, orbits
 from .reps import (
     CLUSTER_TOL,
     Decomposition,
+    EigenCluster,
     QuandleRep,
     Subspace,
     check_rep,
-    cluster_complex,
     decompose,
     invariant_complement_exists,
-    kernel,
+    jordan_clusters,
     rank,
 )
 
@@ -72,17 +72,16 @@ class MultiplicityData:
     def diagonalizable(self) -> bool:
         return self.sum_geometric == self.sum_algebraic
 
+    @classmethod
+    def from_clusters(cls, clusters: list[EigenCluster]) -> "MultiplicityData":
+        return cls([c.lam for c in clusters], [c.algebraic for c in clusters],
+                   [c.geometric for c in clusters])
+
 
 def multiplicity_data(B, tol: float = CLUSTER_TOL) -> MultiplicityData:
-    B = np.asarray(B, dtype=complex)
-    vals = np.linalg.eigvals(B)
-    eigs, alg, geo = [], [], []
-    for idx in cluster_complex(vals, tol):
-        lam = complex(vals[idx].mean())
-        eigs.append(lam)
-        alg.append(len(idx))
-        geo.append(B.shape[0] - rank(B - lam * np.eye(B.shape[0]), tol))
-    return MultiplicityData(eigs, alg, geo)
+    """Eigenvalues of B with their algebraic and geometric multiplicities,
+    read from `jordan_clusters`."""
+    return MultiplicityData.from_clusters(jordan_clusters(np.asarray(B, dtype=complex), tol))
 
 
 @dataclass
@@ -117,18 +116,10 @@ def maschke_counterexample(n: int, B, Q: Quandle | None = None) -> MaschkeReport
             raise InvalidParamsError("need n >= 2")
         Q = dihedral(2 * n)
     rep = orbit_rep(Q, B, orbit_of=1 % Q.order)
-    mult = multiplicity_data(B)
-    Bc = np.asarray(B, dtype=complex)
-    d = Bc.shape[0]
-    lam = None
-    for eig, a, g in zip(mult.eigenvalues, mult.algebraic, mult.geometric):
-        if g < a:
-            lam = eig
-            break
-    if lam is None:
-        lam = mult.eigenvalues[0]
-    line = kernel(Bc - lam * np.eye(d), 1e-8)[:, :1]
-    witness = Subspace.from_span(line)
+    clusters = jordan_clusters(np.asarray(B, dtype=complex))
+    mult = MultiplicityData.from_clusters(clusters)
+    deficient = next((c for c in clusters if c.geometric < c.algebraic), clusters[0])
+    witness = Subspace.from_span(deficient.eigenspace[:, :1])
     complement = invariant_complement_exists(rep, witness)
     decomp = decompose(rep, label=False)
     report = MaschkeReport(rep, mult, witness, complement, decomp)

@@ -28,13 +28,20 @@ from .presentation import PresentationContext
 from .quandles import Quandle
 from .reps import (
     CLUSTER_TOL,
+    EigenCluster,
     QuandleRep,
     Subspace,
-    cluster_complex,
+    _power_kernels,
     invariant_complement_exists,
+    jordan_clusters,
     kernel,
     rank,
 )
+
+
+def _block_order(lam: complex, size: int) -> tuple:
+    """Sort key of Jordan blocks: longest first, then by eigenvalue."""
+    return (-size, lam.real, lam.imag)
 
 
 @dataclass(frozen=True)
@@ -70,25 +77,22 @@ class JordanSpec:
 
     @classmethod
     def from_matrix(cls, M: np.ndarray, tol: float = CLUSTER_TOL) -> "JordanSpec":
-        """Numerical Jordan structure by eigenvalue clustering and the
-        kernel dimensions of (M - lambda I)^j, found as in `jordan_chains`."""
+        """Numerical Jordan structure of M, read from `jordan_clusters`."""
         M = np.asarray(M, dtype=complex)
-        d = M.shape[0]
-        vals = np.linalg.eigvals(M)
-        blocks: list[tuple[complex, int]] = []
-        for idx in cluster_complex(vals, tol):
-            lam = complex(vals[idx].mean())
-            mult = len(idx)
-            kernel_dims = [K.shape[1] for K in _power_kernels(M - lam * np.eye(d), tol, mult)]
-            geq = [kernel_dims[j] - kernel_dims[j - 1]
-                   for j in range(1, len(kernel_dims))]  # blocks of size >= j
-            for j in range(1, len(geq) + 1):
-                exactly = geq[j - 1] - (geq[j] if j < len(geq) else 0)
-                blocks.extend([(lam, j)] * exactly)
-        spec = cls(tuple(sorted(blocks, key=lambda b: (-b[1], b[0].real, b[0].imag))))
+        return cls.from_clusters(jordan_clusters(M, tol), M.shape[0])
+
+    @classmethod
+    def from_clusters(cls, clusters: list[EigenCluster], d: int) -> "JordanSpec":
+        """The blocks of every cluster; IllConditionedError unless their
+        sizes add up to the dimension d and the generalized eigenspaces
+        span the space."""
+        blocks = [(c.lam, size) for c in clusters for size in c.block_sizes()]
+        spec = cls(tuple(sorted(blocks, key=lambda b: _block_order(*b))))
         if spec.dim != d:
             raise IllConditionedError(
                 f"Jordan structure of dimension {spec.dim} found in a {d}x{d} matrix")
+        if rank(np.hstack([c.kernels[-1] for c in clusters]), 1e-9) < d:
+            raise IllConditionedError("generalized eigenspaces do not span the space")
         return spec
 
 
@@ -227,29 +231,20 @@ class ConstantRepDecomposition:
         return [p.size for p in self.parts]
 
 
-def _power_kernels(A: np.ndarray, tol: float, stop: int) -> list[np.ndarray]:
-    """Orthonormal bases of ker A^j, j = 0, 1, ..., while the kernel grows
-    and stays below dimension `stop`.  ker A^j is the kernel of (I - K K^H) A
-    with K spanning ker A^(j-1): every cut sees the scale of A, not the |A|^j
-    of a power, beside which a Jordan block's unit superdiagonal can vanish."""
-    kernels = [np.zeros((A.shape[0], 0), dtype=complex)]
-    while kernels[-1].shape[1] < stop:
-        K = kernels[-1]
-        nxt = kernel(A - K @ (K.conj().T @ A), tol)
-        if nxt.shape[1] == K.shape[1]:
-            break
-        kernels.append(nxt)
-    return kernels
-
-
 def jordan_chains(M: np.ndarray, lam: complex,
                   tol: float = CLUSTER_TOL) -> list[list[np.ndarray]]:
     """Generalized eigenvector chains of M at lam, longest first; each chain
     is [top, A top, ..., A^(len-1) top] with A = M - lam I, ending on a true
     eigenvector."""
-    d = M.shape[0]
-    A = M - lam * np.eye(d)
-    kernels = _power_kernels(A, tol, d)
+    A = M - lam * np.eye(M.shape[0])
+    return _chains(A, _power_kernels(A, tol), tol)
+
+
+def _chains(A: np.ndarray, kernels: list[np.ndarray],
+            tol: float) -> list[list[np.ndarray]]:
+    """Jordan chains of A from its kernel chain ker A^j, as in
+    `jordan_chains`."""
+    d = A.shape[0]
     mmax = len(kernels) - 1
     geq = [kernels[j].shape[1] - kernels[j - 1].shape[1] for j in range(1, mmax + 1)]
 
@@ -288,23 +283,21 @@ def constant_rep_decompose(M, Q: Quandle,
     the absence of an invariant complement for it."""
     M = np.asarray(M, dtype=complex)
     d = M.shape[0]
-    if rank(M, 1e-12) < d or np.linalg.cond(M) > 1e12:
+    if rank(M, 1e-12) < d:
         raise IllConditionedError("matrix is singular or too ill-conditioned")
-    vals = np.linalg.eigvals(M)
+    clusters = jordan_clusters(M, tol)
+    spec = JordanSpec.from_clusters(clusters, d)
     parts: list[JordanPart] = []
-    blocks: list[tuple[complex, int]] = []
     all_vecs: list[np.ndarray] = []
-    for idx in cluster_complex(vals, tol):
-        lam = complex(vals[idx].mean())
-        for chain in jordan_chains(M, lam, tol):
+    for c in clusters:
+        for chain in _chains(M - c.lam * np.eye(d), c.kernels, tol):
             sub = Subspace.from_span(np.column_stack(chain))
             if sub.dim != len(chain):
                 raise IllConditionedError("Jordan chain is numerically degenerate")
             eig = chain[-1] / np.linalg.norm(chain[-1])
-            parts.append(JordanPart(lam, len(chain), sub, eig))
-            blocks.append((lam, len(chain)))
+            parts.append(JordanPart(c.lam, len(chain), sub, eig))
             all_vecs.extend(chain)
-    if len(all_vecs) != d or rank(np.column_stack(all_vecs), 1e-9) != d:
+    if rank(np.column_stack(all_vecs), 1e-9) != d:
         raise IllConditionedError("Jordan chains do not form a basis")
 
     rep = QuandleRep(Q, np.broadcast_to(M, (Q.order, d, d)).copy())
@@ -319,8 +312,7 @@ def constant_rep_decompose(M, Q: Quandle,
             if part.has_invariant_complement and len(parts) == 1:
                 raise VerificationFailureError(
                     "nontrivial Jordan block unexpectedly admits a complement")
-    spec = JordanSpec(tuple(sorted(blocks, key=lambda b: (-b[1], b[0].real, b[0].imag))))
-    parts.sort(key=lambda p: (-p.size, p.eigenvalue.real, p.eigenvalue.imag))
+    parts.sort(key=lambda p: _block_order(p.eigenvalue, p.size))
     return ConstantRepDecomposition(spec, parts)
 
 

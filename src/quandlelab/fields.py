@@ -281,9 +281,6 @@ class FieldTable:
             raise ZeroArgumentError("inverse of zero")
         return self.exp_table[(-self.log_table[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e > 0:

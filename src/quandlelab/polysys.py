@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidParamsError, NotInvolutionError
-from .fields import FieldTable
+from .fields import FieldTable, prime_factors
 from .presentation import PresentationContext
 
 IntPoly = list[int]  # little-endian, no trailing zeros
@@ -276,18 +276,4 @@ def verify_sum_identity(inv: LogInvolution) -> bool:
 
 
 def prime_powers_upto(n: int, minimum: int = 4) -> list[int]:
-    out = []
-    for q in range(max(2, minimum), n + 1):
-        p = 2
-        while p * p <= q:
-            if q % p == 0:
-                break
-            p += 1
-        else:
-            p = q  # q prime
-        m = q
-        while m % p == 0:
-            m //= p
-        if m == 1:
-            out.append(q)
-    return out
+    return [q for q in range(max(2, minimum), n + 1) if len(prime_factors(q)) == 1]

@@ -250,14 +250,6 @@ def canonical_to_field(c: CanonicalForm, ctx: PresentationContext) -> int:
     return ctx.F.sub(1, ctx.alpha_pow(c.r))
 
 
-def field_to_canonical(v: int, ctx: PresentationContext) -> CanonicalForm:
-    if v == 1:
-        return Y
-    if v == 0:
-        return X
-    return xy(ctx.dlog(ctx.F.sub(1, v)))
-
-
 def normalize(w: Word, F: FieldTable, alpha: int,
               ctx: PresentationContext | None = None) -> CanonicalForm:
     """Rewrite a word to its unique canonical form.

@@ -55,6 +55,80 @@ def kernel(A: np.ndarray, rtol: float) -> np.ndarray:
     return np.ascontiguousarray(vh[_rank_cut(s, rtol):].conj().T)
 
 
+def _power_kernels(A: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Orthonormal bases of ker A^j, j = 0, 1, ..., while the kernel grows
+    and stays below the full dimension.  ker A^j is the kernel of
+    (I - K K^H) A with K spanning ker A^(j-1): every cut sees the scale of
+    A, not the |A|^j of a power, beside which a Jordan block's unit
+    superdiagonal can vanish."""
+    kernels = [np.zeros((A.shape[0], 0), dtype=complex)]
+    while kernels[-1].shape[1] < A.shape[0]:
+        K = kernels[-1]
+        nxt = kernel(A - K @ (K.conj().T @ A), tol)
+        if nxt.shape[1] == K.shape[1]:
+            break
+        kernels.append(nxt)
+    return kernels
+
+
+def cluster(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndarray]:
+    """The one clustering rule, for real and complex values alike: the
+    connected components of |v_i - v_j| <= tol * max(1, max |v|) (single
+    linkage), ordered by their smallest index, each an ascending index
+    array."""
+    v = np.asarray(values)
+    near = np.abs(v[:, None] - v[None, :]) <= tol * max(1.0, float(np.max(np.abs(v))))
+    root = np.arange(v.size)
+    while True:  # each index takes the smallest root among its neighbours
+        nxt = np.where(near, root, v.size).min(axis=1)
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
+
+@dataclass(frozen=True)
+class EigenCluster:
+    """One eigenvalue cluster of a square matrix M: lam, the mean of the
+    clustered eigenvalues; their number, the algebraic multiplicity; and
+    orthonormal bases of ker (M - lam I)^j, j = 0, 1, ..., as
+    `_power_kernels` cuts them."""
+
+    lam: complex
+    algebraic: int
+    kernels: list[np.ndarray]
+
+    @property
+    def eigenspace(self) -> np.ndarray:
+        return self.kernels[min(1, len(self.kernels) - 1)]
+
+    @property
+    def geometric(self) -> int:
+        return self.eigenspace.shape[1]
+
+    def block_sizes(self) -> list[int]:
+        """Jordan block sizes, longest first: dim ker A^j - dim ker A^(j-1)
+        blocks have size >= j."""
+        dims = [K.shape[1] for K in self.kernels]
+        geq = [b - a for a, b in zip(dims, dims[1:])] + [0]
+        return [j for j in range(len(geq) - 1, 0, -1)
+                for _ in range(geq[j - 1] - geq[j])]
+
+
+def jordan_clusters(M: np.ndarray, tol: float = CLUSTER_TOL) -> list[EigenCluster]:
+    """The one reading of Jordan structure: the eigenvalues of M grouped by
+    `cluster`, each with its kernel chain.  Jordan specs, Jordan chains,
+    multiplicities and eigenlines are all read from it."""
+    d = M.shape[0]
+    vals = np.linalg.eigvals(M)
+    out = []
+    for idx in cluster(vals, tol):
+        lam = complex(vals[idx].mean())
+        out.append(EigenCluster(lam, len(idx), _power_kernels(M - lam * np.eye(d), tol)))
+    return out
+
+
 def _round_key(m: np.ndarray, decimals: int) -> bytes:
     """Hash key of a matrix rounded to `decimals`; adding 0.0 turns the
     -0.0 that rounding leaves on tiny negative entries into 0.0."""
@@ -183,10 +257,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
     def restrict(self, matrix: np.ndarray) -> np.ndarray:
         return self.basis.conj().T @ matrix @ self.basis
 
@@ -308,39 +378,6 @@ def character_norm(group: np.ndarray, basis: np.ndarray,
     return norm
 
 
-def _cluster_real(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Indices of values grouped by gaps larger than tol (relative)."""
-    order = np.argsort(values)
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] > tol * scale:
-            groups.append([idx])
-        else:
-            groups[-1].append(idx)
-    return [np.array(g) for g in groups]
-
-
-def cluster_complex(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndarray]:
-    """Greedy clustering of complex values at relative tolerance."""
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    remaining = list(range(len(values)))
-    clusters = []
-    while remaining:
-        seed = remaining.pop(0)
-        group = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for idx in remaining[:]:
-                if any(abs(values[idx] - values[g]) <= tol * scale for g in group):
-                    group.append(idx)
-                    remaining.remove(idx)
-                    changed = True
-        clusters.append(np.array(sorted(group)))
-    return clusters
-
-
 @dataclass
 class Part:
     subspace: Subspace
@@ -423,7 +460,7 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
             avg = (R @ H @ RH).mean(axis=0)
             avg = (avg + avg.conj().T) / 2
             vals, vecs = np.linalg.eigh(avg)
-            clusters = _cluster_real(vals, cluster_tol)
+            clusters = cluster(vals, cluster_tol)
             if len(clusters) > 1:
                 for idx in clusters:
                     q, _ = np.linalg.qr(vecs[:, idx])
@@ -466,7 +503,7 @@ def _common_eigen_lines(mats: list[np.ndarray],
                     > tol * scale:
                 vals = np.linalg.eigvals(r)
                 lines: list[np.ndarray] = []
-                for idx in cluster_complex(vals, CLUSTER_TOL):
+                for idx in cluster(vals, CLUSTER_TOL):
                     lam = vals[idx].mean()
                     eigbasis = kernel(r - lam * np.eye(r.shape[0]), 1e-10)
                     sub = basis @ eigbasis

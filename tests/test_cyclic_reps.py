@@ -1,4 +1,5 @@
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from quandlelab.cyclic_reps import (
     kth_power_maximal,
     rigidity_check,
 )
+from quandlelab.counterexamples import multiplicity_data
 from quandlelab.errors import IllConditionedError, InvalidParamsError, VerificationFailureError
 from quandlelab.quandles import trivial
 
@@ -301,3 +303,41 @@ def test_benchmark_tracer_counts_rigidity_least_squares(F5):
     metrics = tracer.metrics()
     assert metrics["cyclic_reps.lsq_calls"] == 3
     assert metrics["cyclic_reps.lsq_nfev"] > 0
+
+
+def _spec_or_none(read):
+    try:
+        return read()
+    except IllConditionedError:
+        return None
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_jordan_readings_agree_on_planted_matrices(conjugate):
+    """`JordanSpec.from_matrix`, `constant_rep_decompose` and
+    `multiplicity_data` read one Jordan structure: on 1 to 3 planted blocks
+    of size 1 to 3 at +-U[0.2, 3], exact or conjugated by a standard-normal
+    S, the first two raise together or return the same spec, and a
+    returned spec has one eigenvector per block at each eigenvalue."""
+    returned = 0
+    for seed in range(300):
+        rng = np.random.default_rng([seed, conjugate])
+        spec = JordanSpec(tuple(
+            (complex(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)), int(rng.integers(1, 4)))
+            for _ in range(int(rng.integers(1, 4)))))
+        M = spec.matrix()
+        if conjugate:
+            S = rng.standard_normal(M.shape)
+            M = S @ M @ np.linalg.inv(S)
+        found = _spec_or_none(lambda: JordanSpec.from_matrix(M))
+        assert found == _spec_or_none(lambda: constant_rep_decompose(M, trivial(1)).spec), seed
+        if found is not None:
+            returned += 1
+            m = multiplicity_data(M)
+            blocks = Counter(lam for lam, _ in found.blocks)
+            sizes = Counter()
+            for lam, size in found.blocks:
+                sizes[lam] += size
+            assert dict(zip(m.eigenvalues, m.geometric)) == blocks, seed
+            assert dict(zip(m.eigenvalues, m.algebraic)) == sizes, seed
+    assert returned >= (250 if not conjugate else 30)

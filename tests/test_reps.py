@@ -32,6 +32,7 @@ from quandlelab.reps import (
     augmentation_split,
     character_norm,
     check_rep,
+    cluster,
     commutant_dimension,
     decompose,
     invariance_residual,
@@ -600,6 +601,56 @@ def test_rank_cut_floors_the_largest_singular_value_at_one():
     assert rank(1e4 * A, 1e-10) == 2
     assert rank(np.zeros((3, 3)), 1e-10) == 0
     assert kernel(np.zeros((3, 3)), 1e-10).shape == (3, 3)
+
+
+def _greedy_clusters(values, tol):
+    """The greedy clustering that `cluster` replaced, kept as its oracle:
+    grow each cluster from the smallest remaining index until no remaining
+    value is within tol * max(1, max |v|) of a member."""
+    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
+    remaining = list(range(len(values)))
+    clusters = []
+    while remaining:
+        group = [remaining.pop(0)]
+        changed = True
+        while changed:
+            changed = False
+            for idx in remaining[:]:
+                if any(abs(values[idx] - values[g]) <= tol * scale for g in group):
+                    group.append(idx)
+                    remaining.remove(idx)
+                    changed = True
+        clusters.append(sorted(group))
+    return clusters
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [17, 40, 96])
+@pytest.mark.parametrize("real", [False, True])
+def test_cluster_matches_the_greedy_rule(real, n, seed):
+    """Values planted at 1e-9 steps around a few centers, against tol 1e-8
+    at a scale of about 3.  The real inputs are sorted, as `eigh` returns
+    them; n > 16 takes numpy's argsort past its insertion sort."""
+    rng = np.random.default_rng([seed, n, real])
+    centers = rng.uniform(-3, 3, n // 4)
+    step = 1e-9
+    if not real:
+        centers = centers + 1j * rng.uniform(-3, 3, n // 4)
+        step = step * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    values = centers[rng.integers(0, n // 4, n)] + step * rng.integers(0, 90, n)
+    if real:
+        values = np.sort(values)
+    got = [c.tolist() for c in cluster(values, 1e-8)]
+    assert got == _greedy_clusters(values, 1e-8)
+    assert max(len(c) for c in got) > 1
+
+
+def test_cluster_links_chains_and_orders_by_smallest_index():
+    """0 and 1.4e-8 lie further apart than tol = 1e-8 but are linked
+    through 0.7e-8; 3e-8 is 1.6e-8 from the chain and stands alone."""
+    values = np.array([0.5, 1.4e-8, 3e-8, 0.0, 0.7e-8])
+    assert [c.tolist() for c in cluster(values, 1e-8)] == [[0], [1, 3, 4], [2]]
+    assert [c.tolist() for c in cluster(1j * values, 1e-8)] == [[0], [1, 3, 4], [2]]
 
 
 def test_import_loads_no_scipy():
