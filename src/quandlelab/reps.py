@@ -15,8 +15,8 @@ Every numerical rank in the library (kernels, spans, ranks and the
 invertibility gates) reads one rule on `np.linalg.svd`, `_rank_cut`: keep
 the singular values s > rtol * max(s_0, 1), s_0 the largest; each call site
 picks rtol.  Being relative, it counts an invertible image whose condition
-number exceeds 1/rtol as singular.  scipy is imported only inside
-`cyclic_reps.rigidity_check`.
+number exceeds 1/rtol as singular.  scipy is imported only inside the
+least-squares search behind `cyclic_reps.rigidity_check`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     ClosureBudgetError,
     GroupNotFiniteError,
+    IllConditionedError,
     InvalidParamsError,
     NotHomomorphismError,
     SingularMatrixError,
@@ -119,13 +120,20 @@ class EigenCluster:
 def jordan_clusters(M: np.ndarray, tol: float = CLUSTER_TOL) -> list[EigenCluster]:
     """The one reading of Jordan structure: the eigenvalues of M grouped by
     `cluster`, each with its kernel chain.  Jordan specs, Jordan chains,
-    multiplicities and eigenlines are all read from it."""
+    multiplicities and eigenlines are all read from it.  A kernel chain that
+    ends above the cluster's algebraic multiplicity has taken in vectors of
+    a neighbouring cluster, and raises IllConditionedError."""
     d = M.shape[0]
     vals = np.linalg.eigvals(M)
     out = []
     for idx in cluster(vals, tol):
         lam = complex(vals[idx].mean())
-        out.append(EigenCluster(lam, len(idx), _power_kernels(M - lam * np.eye(d), tol)))
+        kernels = _power_kernels(M - lam * np.eye(d), tol)
+        if kernels[-1].shape[1] > len(idx):
+            raise IllConditionedError(
+                f"kernel chain of dimension {kernels[-1].shape[1]} at eigenvalue {lam:.6g} "
+                f"of algebraic multiplicity {len(idx)}")
+        out.append(EigenCluster(lam, len(idx), kernels))
     return out
 
 

@@ -17,7 +17,9 @@ from quandlelab.cyclic_reps import (
 )
 from quandlelab.counterexamples import multiplicity_data
 from quandlelab.errors import IllConditionedError, InvalidParamsError, VerificationFailureError
-from quandlelab.quandles import trivial
+from quandlelab.fields import build_field
+from quandlelab.quandles import alexander, trivial
+from quandlelab.reps import kernel, regular_rep
 
 
 def test_jordan_spec_matrix():
@@ -275,6 +277,88 @@ def test_rigidity_residual_zero_at_J(F5):
     assert max(np.linalg.norm(m) for m in res) < 1e-9
 
 
+def _per_k_residuals(M, J, Jpow, q, phi):
+    """The relation residuals one k at a time, as `_relation_residuals`
+    computed them before it was batched."""
+    Minv = np.linalg.inv(M)
+    Mq = np.linalg.matrix_power(M, q - 1)
+    out = [J @ Mq - Mq @ J, M @ Jpow[q - 1] - Jpow[q - 1] @ M]
+    Mk = np.eye(J.shape[0], dtype=complex)
+    Mki = np.eye(J.shape[0], dtype=complex)
+    for k in range(1, q - 1):
+        Mk = Mk @ M
+        Mki = Mki @ Minv
+        t = phi[k]
+        out.append(Mk @ J @ Mki - Jpow[t] @ M @ Jpow[-t])
+    return np.array(out)
+
+
+def _planted_alexander_5():
+    """x -> R_0, y -> R_1 in the regular representation of (F_5, 2), in an
+    eigenbasis of R_0: J = diag(-1, i, -i, 1, 1) is not 4th-power maximal,
+    and M* = V^-1 R_1 V != J satisfies every relation alongside it."""
+    F = build_field(5)
+    R = regular_rep(alexander(F, 2)).matrices
+    V = np.hstack([kernel(R[0] - lam * np.eye(5), 1e-9) for lam in (-1, 1j, -1j, 1)])
+    return F, np.diag([-1, 1j, -1j, 1, 1]).astype(complex), np.linalg.inv(V) @ R[1] @ V
+
+
+def test_relation_jacobian_matches_finite_differences():
+    """The analytic Jacobian agrees with scipy's 3-point differences, and the
+    batched residual with the per-k formula, at seeded points around J on
+    the four acceptance configurations, the planted d = 5 case and a J
+    with a Jordan block."""
+    from scipy.optimize._numdiff import approx_derivative
+
+    from quandlelab.cyclic_reps import _power_ladder, _relation_jacobian, _relation_residuals
+    from quandlelab.presentation import PresentationContext
+
+    configs = [(JordanSpec(tuple((e, 1) for e in eigs)).matrix(), build_field(q), alpha)
+               for eigs, q, alpha in [((2, 3), 5, 2), ((1, 2, 3), 5, 2),
+                                      ((2, 3), 7, 3), ((1, 2, 3), 7, 3)]]
+    F, J, _ = _planted_alexander_5()
+    configs += [(J, F, 2), (JordanSpec(((2, 2), (3, 1))).matrix(), F, 2)]
+    for J, F, alpha in configs:
+        q, d = F.q, J.shape[0]
+        phi = PresentationContext(F, alpha).phi
+        Jpow = _power_ladder(J, q - 1)
+        jacobian = _relation_jacobian(J, Jpow, q, phi)
+
+        def fun(x):
+            r = _relation_residuals((x[:d * d] + 1j * x[d * d:]).reshape(d, d),
+                                    J, Jpow, q, phi).ravel()
+            return np.concatenate([r.real, r.imag])
+
+        rng = np.random.default_rng([q, d])
+        for _ in range(5):
+            M = J + 0.5 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            old = _per_k_residuals(M, J, Jpow, q, phi)
+            new = _relation_residuals(M, J, Jpow, q, phi)
+            assert np.abs(new - old).max() <= 1e-12 * max(1.0, np.abs(old).max())
+            L = jacobian(M)
+            analytic = np.block([[L.real, -L.imag], [L.imag, L.real]])
+            numeric = approx_derivative(fun, np.concatenate([M.real.ravel(), M.imag.ravel()]),
+                                        method="3-point")
+            assert np.linalg.norm(analytic - numeric) < 1e-6 * np.linalg.norm(numeric), (q, d)
+
+
+def test_rigidity_search_finds_a_planted_second_generator():
+    """Positive control of the falsification search: around a J that admits
+    a second generator M* != J, some restarts end on a solution off J."""
+    from quandlelab.cyclic_reps import _power_ladder, _relation_residuals, _rigidity_search
+    from quandlelab.presentation import PresentationContext
+
+    F, J, M_star = _planted_alexander_5()
+    phi = PresentationContext(F, 2).phi
+    planted = _relation_residuals(M_star, J, _power_ladder(J, 4), 5, phi)
+    assert np.abs(planted).max() < 1e-12
+    assert np.linalg.norm(M_star - J) > 3
+    report = _rigidity_search(J, F, 2, restarts=20, seed=0, separation=1e-3)
+    assert report.offside_solutions >= 1
+    assert report.found_counterexample
+    assert report.converged_to_J + len(report.candidates) == 20
+
+
 def test_rigidity_small_search_finds_nothing(F5):
     spec = JordanSpec(((2, 1), (3, 1)))
     report = rigidity_check(spec, F5, 2, restarts=25, seed=0)
@@ -341,3 +425,16 @@ def test_jordan_readings_agree_on_planted_matrices(conjugate):
             assert dict(zip(m.eigenvalues, m.geometric)) == blocks, seed
             assert dict(zip(m.eigenvalues, m.algebraic)) == sizes, seed
     assert returned >= (250 if not conjugate else 30)
+
+
+def test_jordan_readings_raise_on_a_kernel_chain_above_the_algebraic_multiplicity():
+    """In J_2(-0.212126) + J_1(-0.212029) the J_2 block 9.7e-5 away leaves a
+    singular value near (9.7e-5)^2 in M - lam_2 I, under the 1e-8 cut, so
+    the kernel at lam_2 takes in a vector of that block: dimension 2 at
+    algebraic multiplicity 1.  Every reading raises instead of answering
+    (multiplicity_data returned geometric [1, 2] for algebraic [2, 1])."""
+    M = JordanSpec(((-0.212126, 2), (-0.212029, 1))).matrix()
+    for read in (lambda: multiplicity_data(M), lambda: JordanSpec.from_matrix(M),
+                 lambda: constant_rep_decompose(M, trivial(1))):
+        with pytest.raises(IllConditionedError, match="kernel chain"):
+            read()
