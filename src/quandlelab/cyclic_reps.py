@@ -354,13 +354,15 @@ class RigidityReport:
 
 
 def _relation_residuals(M: np.ndarray, J: np.ndarray, Jpow, q: int,
-                        phi: Sequence[int]) -> np.ndarray:
+                        phi: Sequence[int], P: np.ndarray | None = None) -> np.ndarray:
     """The relations with x -> J, y -> M as residuals R, stacked (q, d, d):
     R[0] = J M^(q-1) - M^(q-1) J, R[1] = M J^(q-1) - J^(q-1) M and
     R[1+k] = M^k J M^-k - J^t M J^-t, t = phi[k], k = 1..q-2.  Jpow maps
-    t to J^t for |t| <= q-1."""
+    t to J^t for |t| <= q-1; P is the power ladder of M, built here when
+    the caller has none."""
     ks = range(1, q - 1)
-    P = _power_ladder(M, q - 1)
+    if P is None:
+        P = _power_ladder(M, q - 1)
     Jt = np.array([Jpow[phi[k]] for k in ks])
     Jmt = np.array([Jpow[-phi[k]] for k in ks])
     R = np.empty((q,) + J.shape, dtype=complex)
@@ -402,8 +404,9 @@ def _relation_jacobian(J: np.ndarray, Jpow, q: int,
     S[row, np.arange(g.size)] = sign
     S[row, g.size + np.arange(g.size)] = -sign
 
-    def jacobian(M: np.ndarray) -> np.ndarray:
-        P = _power_ladder(M, q - 1)
+    def jacobian(M: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+        if P is None:
+            P = _power_ladder(M, q - 1)
         K = np.concatenate([J[None], P[1:q - 1] @ J @ P[-1:1 - q:-1]])
         X, N, Kg = P[i], P[m], K[g]
         kron = np.einsum("pab,pec->pacbe", np.concatenate([Kg @ X, X]),
@@ -451,11 +454,22 @@ def _rigidity_search(J: np.ndarray, F: FieldTable, alpha: int, restarts: int,
     def singular(M):
         return abs(np.linalg.det(M)) < 1e-9
 
+    # least squares evaluates the Jacobian at the point of the last residual,
+    # so one ladder per point serves both
+    last: dict[bytes, np.ndarray] = {}
+
+    def ladder(x, M):
+        key = x.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _power_ladder(M, q - 1)
+        return last[key]
+
     def fun(x):
         M = unpack(x)
         if singular(M):
             return np.full(2 * (q * d * d), 1e3)
-        flat = _relation_residuals(M, J, Jpow, q, phi).ravel()
+        flat = _relation_residuals(M, J, Jpow, q, phi, ladder(x, M)).ravel()
         return np.concatenate([flat.real, flat.imag])
 
     jacobian = _relation_jacobian(J, Jpow, q, phi)
@@ -466,7 +480,7 @@ def _rigidity_search(J: np.ndarray, F: FieldTable, alpha: int, restarts: int,
         M = unpack(x)
         if singular(M):
             return np.zeros((2 * q * d * d, 2 * d * d))
-        L = jacobian(M)
+        L = jacobian(M, ladder(x, M))
         L = np.hstack([L, 1j * L])
         return np.vstack([L.real, L.imag])
 

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 from .errors import (
     NotPrimeError,
     NotPrimitiveError,
@@ -205,7 +207,9 @@ class FieldTable:
     multiplicative order q-1; `exp_table[j]` is the index of base^j and
     `log_table` inverts it on nonzero elements.  `zech[k]` is
     log(1 + base^k), None where 1 + base^k = 0 (k = 0 for p = 2, k = (q-1)/2
-    for odd p), and `neg_table[a]` is the index of -a.
+    for odd p), and `neg_table[a]` is the index of -a.  `exp_array`,
+    `log_array` and `zech_array` are numpy copies of the first three, with
+    -1 where the list holds None; `add_array` gathers on them.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -235,6 +239,9 @@ class FieldTable:
         half = (self.q - 1) // 2 if self.p != 2 else 0  # log(-1)
         self.neg_table = [0] + [self.exp_table[(j + half) % (self.q - 1)]
                                 for j in self.log_table[1:]]
+        self.exp_array = np.array(self.exp_table, dtype=np.int32)
+        self.log_array = np.array([-1] + self.log_table[1:], dtype=np.int32)
+        self.zech_array = np.array([-1 if z is None else z for z in self.zech], dtype=np.int32)
 
     # -- element <-> coefficient vector --
 
@@ -275,6 +282,24 @@ class FieldTable:
         if a == 0 or b == 0:
             return 0
         return self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)]
+
+    def add_array(self, a, b) -> np.ndarray:
+        """Elementwise a + b over broadcast integer arrays, by the Zech rule
+        of `add`; only the index, Zech and result arrays take the
+        broadcast shape."""
+        a, b = np.asarray(a), np.asarray(b)
+        m = self.q - 1
+        la, lb = self.log_array[a], self.log_array[b]
+        idx = lb - la
+        idx %= m
+        z = self.zech_array[idx]
+        np.add(la, z, out=idx)
+        idx %= m
+        out = self.exp_array[idx]
+        out[z < 0] = 0
+        np.copyto(out, a, where=b == 0)
+        np.copyto(out, b, where=a == 0)
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -3,9 +3,14 @@
 Words over generators x, y (with the operation written * and its right
 inverse /) are rewritten to the canonical set {x, y, x*y^r : 1 <= r <= q-2}
 using the defining relations a*b^(q-1) = a and a*b^k = b*a^(log(1-alpha^k)).
-Every normalization is cross-validated against the concrete Alexander
-quandle (F_q, alpha) under x -> 0, y -> 1; a mismatch is a hard error, not
-a report, because the rewriting rules are the error-prone part.
+The rewriting is a left fold, so it is tabulated once per (F_q, alpha): one
+translation table per letter maps each of the q canonical forms to the form
+after that letter.  The 2q entries of the x- and y-tables are checked
+against the concrete Alexander quandle (F_q, alpha) under x -> 0, y -> 1 when
+they are built, which by induction on the word length certifies every
+word, and every normalization is still cross-validated against direct
+evaluation; a mismatch is a hard error, not a report, because the
+rewriting rules are the error-prone part.
 
 Also here: prime-power equivalence of primitive elements and the resulting
 classification of cyclic-type quandles, with phi(q-1)/n classes of size n.
@@ -14,6 +19,9 @@ classification of cyclic-type quandles, with phi(q-1)/n classes of size n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     InvalidParamsError,
@@ -165,6 +173,35 @@ def xy(r: int) -> CanonicalForm:
     return CanonicalForm("xy", r)
 
 
+def _rewrite_tables(phi: tuple[int, ...], m: int) -> tuple[list[int], list[int]]:
+    """The x- and y-translation tables of the rewriting rules on the q = m+1
+    canonical forms, numbered r for x*y^r (0 <= r <= q-2) and m for y:
+    entry s is the form of (form s)*x, resp. (form s)*y."""
+    y_form = m
+    tx, ty = [], []
+    for r in range(m):
+        ty.append((r + 1) % m)                            # x*y^(q-1) = x
+        if r == 0:
+            tx.append(0)                                  # x*x = x
+        else:
+            t = (phi[r] + 1) % m                          # (x*y^r)*x = y*x^t
+            tx.append(y_form if t == 0 else phi[t])       # y*x^t = x*y^log(1-alpha^t)
+    tx.append(phi[1])                                     # y*x = x*y^log(1-alpha)
+    ty.append(y_form)                                     # y*y = y
+    return tx, ty
+
+
+def _iterate(table: list[int], k: int) -> list[int]:
+    """The map `table` applied k times, by repeated squaring."""
+    out = list(range(len(table)))
+    while k:
+        if k & 1:
+            out = [table[i] for i in out]
+        table = [table[i] for i in table]
+        k >>= 1
+    return out
+
+
 class PresentationContext:
     """The field model of the presented quandle for one (F_q, alpha).
 
@@ -173,7 +210,8 @@ class PresentationContext:
     phi[k] = log(1 - alpha^k) for 1 <= k <= q-2 that drives the rewriting
     (phi[0] is a placeholder).  The table is built once, here, and every
     consumer reads it: with alpha = base^a and -1 = base^h, phi[k] is
-    zech[(a k + h) mod (q-1)] * a^-1 mod (q-1)."""
+    zech[(a k + h) mod (q-1)] * a^-1 mod (q-1).  The translation tables of
+    the rewriting (`steps`) are built on first use."""
 
     def __init__(self, F: FieldTable, alpha: int):
         if F.q <= 2:
@@ -187,11 +225,12 @@ class PresentationContext:
         la = F.log(alpha)
         inv_la = pow(la, -1, self.m)
         h = F.log_table[F.neg_table[1]]
-        self._dlog = [None] + [(j * inv_la) % self.m for j in F.log_table[1:]]
+        self._dlog = [None] + ((F.log_array[1:].astype(np.int64) * inv_la) % self.m).tolist()
         self.one_minus_alpha = F.sub(1, alpha)
         self.inv_alpha = F.inv(alpha)
+        k = np.arange(1, self.m)
         self.phi: tuple[int, ...] = (0,) + tuple(
-            (F.zech[(la * k + h) % self.m] * inv_la) % self.m for k in range(1, self.m))
+            ((F.zech_array[(la * k + h) % self.m].astype(np.int64) * inv_la) % self.m).tolist())
 
     def dlog(self, v: int) -> int:
         if v == 0:
@@ -217,6 +256,37 @@ class PresentationContext:
         """v / g = alpha^-1 (v - (1 - alpha) g), the inverse of act(., g)."""
         F = self.F
         return F.mul(self.inv_alpha, F.sub(v, F.mul(self.one_minus_alpha, g)))
+
+    @cached_property
+    def forms(self) -> list[CanonicalForm]:
+        """The canonical forms by number: x*y^r is r, y is q-1."""
+        return [xy(r) for r in range(self.m)] + [Y]
+
+    @cached_property
+    def values(self) -> list[int]:
+        """The field element of each numbered canonical form."""
+        return [canonical_to_field(c, self) for c in self.forms]
+
+    @cached_property
+    def steps(self) -> dict[tuple[str, str], list[int]]:
+        """Translation tables keyed by letter (generator, op): entry s is the
+        number of the canonical form of (form s) op generator.
+
+        The x- and y-tables come from the rewriting rules, and each of their
+        2q entries is checked against `act`; a mismatch raises.  The table
+        of /g is that of *g applied q-2 times, as `eliminate_inverses`
+        rewrites a/b = a*b^(q-2).  Since every word's form is a fold over
+        these tables, the check certifies the form of every word."""
+        tx, ty = _rewrite_tables(self.phi, self.m)
+        values = self.values
+        for gen, g, table in (("x", 0, tx), ("y", 1, ty)):
+            for s, t in enumerate(table):
+                if values[t] != self.act(values[s], g):
+                    raise VerificationFailureError(
+                        f"rewriting gives {self.forms[s]}*{gen} = {self.forms[t]}, "
+                        f"but the field gives element {self.act(values[s], g)}")
+        return {("x", FWD): tx, ("y", FWD): ty,
+                ("x", INV): _iterate(tx, self.q - 2), ("y", INV): _iterate(ty, self.q - 2)}
 
 
 def product_coefficient(F: FieldTable, alpha: int, r: int, s: int) -> int:
@@ -254,39 +324,24 @@ def normalize(w: Word, F: FieldTable, alpha: int,
               ctx: PresentationContext | None = None) -> CanonicalForm:
     """Rewrite a word to its unique canonical form.
 
-    Consumes the (inverse-eliminated) word left to right, keeping the
-    canonical form of the prefix and multiplying by one generator at a
-    time; exponents reduce mod q-1 throughout.  The result is checked
+    The rewriting is a left fold over the word, keeping the canonical form
+    of the prefix and reading the next form from the context's translation
+    tables; exponents reduce mod q-1 throughout.  The result is checked
     against direct evaluation in (F_q, alpha) and any disagreement raises.
     """
     if ctx is None:
         ctx = PresentationContext(F, alpha)
-    m, phi = ctx.m, ctx.phi
-    expanded = eliminate_inverses(w, ctx.q)
+    steps = ctx.steps
+    s = ctx.m if w.tokens[0][0] == "y" else 0
+    for letter in w.tokens[1:]:
+        s = steps[letter][s]
 
-    # the prefix is y when on_y, else x*y^r
-    on_y, r = expanded.tokens[0][0] == "y", 0
-    for gen, _ in expanded.tokens[1:]:
-        if on_y:
-            if gen == "y":
-                continue
-            on_y, r = False, phi[1]                       # y*x = x*y^log(1-alpha)
-        elif gen == "y":
-            r = (r + 1) % m                               # x*y^(q-1) = x
-        elif r:                                           # x*x = x
-            t = (phi[r] + 1) % m                          # (x*y^r)*x = y*x^t
-            if t == 0:
-                on_y, r = True, 0
-            else:
-                r = phi[t]                                # y*x^t = x*y^log(1-alpha^t)
-
-    state = Y if on_y else xy(r)
     direct = _evaluate(w, ctx)
-    if canonical_to_field(state, ctx) != direct:
+    if ctx.values[s] != direct:
         raise VerificationFailureError(
-            f"rewriting produced {state} but field evaluation gives element {direct}"
+            f"rewriting produced {ctx.forms[s]} but field evaluation gives element {direct}"
         )
-    return state
+    return ctx.forms[s]
 
 
 def _rpow(ctx: PresentationContext, v: int, g: int, k: int) -> int:
@@ -308,8 +363,9 @@ class PresentationReport:
 def verify_presentation(F: FieldTable, alpha: int, max_len: int = 6) -> PresentationReport:
     """Check that (F_q, alpha) under x -> 0, y -> 1 realizes the presented
     quandle: the defining relations hold, the canonical set maps onto all q
-    elements, and normalization agrees with direct evaluation on every word
-    up to max_len.  Any failure raises; the report only counts checks."""
+    elements, the translation tables agree with the field (`steps`), and on
+    every word up to max_len the tables' form agrees with direct
+    evaluation.  Any failure raises; the report only counts checks."""
     ctx = PresentationContext(F, alpha)
     q, m = ctx.q, ctx.m
     ix, iy = 0, 1
@@ -328,27 +384,29 @@ def verify_presentation(F: FieldTable, alpha: int, max_len: int = 6) -> Presenta
             raise RelationViolationError(f"y*x^{k} = x*y^{t}", f"k={k}")
         relations += 2
 
-    images = {canonical_to_field(Y, ctx)}
-    images.update(canonical_to_field(xy(r), ctx) for r in range(m))
+    images = set(ctx.values)
     if len(images) != q:
         raise NotBijectiveError(
             f"canonical set covers {len(images)} of {q} elements"
         )
 
+    # each word's form is one table step from its parent's, and is compared
+    # with the word's value, one Alexander step from its parent's
+    steps, values = ctx.steps, ctx.values
     words = 0
-    stack: list[tuple[tuple[tuple[str, str], ...], int]] = [
-        ((("x", FWD),), 0), ((("y", FWD),), 1)]
+    stack: list[tuple[tuple[tuple[str, str], ...], int, int]] = [
+        ((("x", FWD),), 0, 0), ((("y", FWD),), m, 1)]
     while stack:
-        tokens, value = stack.pop()
-        w = Word(tokens)
-        got = canonical_to_field(normalize(w, F, alpha, ctx), ctx)
-        if got != value:
-            raise VerificationFailureError(f"word {w}: normalize gives {got}, field {value}")
+        tokens, form, value = stack.pop()
+        if values[form] != value:
+            raise VerificationFailureError(
+                f"word {Word(tokens)}: the tables give {values[form]}, field {value}")
         words += 1
         if len(tokens) < max_len:
             for gen, g in (("x", 0), ("y", 1)):
-                stack.append((tokens + ((gen, FWD),), ctx.act(value, g)))
-                stack.append((tokens + ((gen, INV),), ctx.act_inv(value, g)))
+                stack.append((tokens + ((gen, FWD),), steps[gen, FWD][form], ctx.act(value, g)))
+                stack.append((tokens + ((gen, INV),), steps[gen, INV][form],
+                              ctx.act_inv(value, g)))
 
     return PresentationReport(q, alpha, relations, len(images), words)
 

@@ -89,6 +89,14 @@ def test_zech_arithmetic_matches_digits_on_sampled_pairs(q):
     _check_table_arithmetic(F, pairs)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 49])
+def test_array_addition_matches_digits_on_every_pair(q):
+    F = build_field_q(q)
+    x = np.arange(q)
+    expected = [[_digit_add(F, a, b) for b in range(q)] for a in range(q)]
+    assert F.add_array(x[:, None], x[None, :]).tolist() == expected
+
+
 def _poly_ext_gcd(a, b, p):
     """Oracle: extended Euclid over Z_p[x], returns (g, u, v) with ua+vb=g."""
     from quandlelab.fields import poly_divmod, poly_add

@@ -1,12 +1,20 @@
+import numpy as np
 import pytest
 
-from quandlelab.errors import InvalidParamsError, NotPrimitiveError, WordSyntaxError
+from quandlelab import presentation
+from quandlelab.errors import (
+    InvalidParamsError,
+    NotPrimitiveError,
+    VerificationFailureError,
+    WordSyntaxError,
+)
 from quandlelab.fields import build_field, build_field_q, euler_phi, primitive_elements
 from quandlelab.polysys import prime_powers_upto
 from quandlelab.presentation import (
     FWD,
     INV,
     PresentationContext,
+    PresentationReport,
     Word,
     X,
     Y,
@@ -110,6 +118,96 @@ def test_normalize_matches_field_on_random_words(F7):
         w = Word(tuple(tokens))
         c = normalize(w, F7, 3, ctx)
         assert canonical_to_field(c, ctx) == evaluate_word(w, F7, 3)
+
+
+def _fold_normalize(w: Word, ctx: PresentationContext):
+    """The rewriting as a fold over the inverse-eliminated word, one rule
+    per step."""
+    m, phi = ctx.m, ctx.phi
+    expanded = eliminate_inverses(w, ctx.q)
+    on_y, r = expanded.tokens[0][0] == "y", 0
+    for gen, _ in expanded.tokens[1:]:
+        if on_y:
+            if gen == "y":
+                continue
+            on_y, r = False, phi[1]
+        elif gen == "y":
+            r = (r + 1) % m
+        elif r:
+            t = (phi[r] + 1) % m
+            if t == 0:
+                on_y, r = True, 0
+            else:
+                r = phi[t]
+    return Y if on_y else xy(r)
+
+
+def test_normalize_matches_the_rule_fold_on_seeded_words():
+    rng = np.random.default_rng(9)
+    fields = {q: build_field_q(q) for q in prime_powers_upto(16, minimum=3)}
+    contexts = [PresentationContext(F, a) for F in fields.values()
+                for a in primitive_elements(F)]
+    inverses = 0
+    for _ in range(2000):
+        ctx = contexts[int(rng.integers(len(contexts)))]
+        tokens = [(str(rng.choice(["x", "y"])), FWD)]
+        for _ in range(int(rng.integers(1, 10))):
+            tokens.append((str(rng.choice(["x", "y"])), str(rng.choice([FWD, INV]))))
+        w = Word(tuple(tokens))
+        inverses += str(w).count(INV)
+        assert normalize(w, ctx.F, ctx.alpha, ctx) == _fold_normalize(w, ctx), (ctx.q, str(w))
+    assert inverses > 2000
+
+
+@pytest.mark.parametrize("q", prime_powers_upto(16, minimum=3))
+def test_verify_presentation_counts_every_length(q):
+    F = build_field_q(q)
+    for a in primitive_elements(F):
+        for max_len in range(1, 7):
+            assert verify_presentation(F, a, max_len) == PresentationReport(
+                q, a, 2 * (q - 1), q, 2 * (4 ** max_len - 1) // 3)
+
+
+def test_translation_tables_agree_with_repeated_steps(F7):
+    """The /g table is the *g table applied q-2 times, and inverts it."""
+    ctx = PresentationContext(F7, 3)
+    for gen in "xy":
+        fwd, inv = ctx.steps[gen, FWD], ctx.steps[gen, INV]
+        for s in range(7):
+            t = s
+            for _ in range(5):
+                t = fwd[t]
+            assert inv[s] == t
+            assert fwd[inv[s]] == s
+
+
+def test_a_planted_wrong_table_entry_raises(F7, monkeypatch):
+    """A wrong entry of the x-table is caught by the entry check, and, with
+    that check bypassed, by the word enumeration."""
+    build = presentation._rewrite_tables
+
+    def planted(phi, m):
+        tx, ty = build(phi, m)
+        tx[2] = (tx[2] + 1) % (m + 1)
+        return tx, ty
+
+    monkeypatch.setattr(presentation, "_rewrite_tables", planted)
+    with pytest.raises(VerificationFailureError, match="rewriting gives"):
+        verify_presentation(F7, 3, max_len=3)
+    with pytest.raises(VerificationFailureError, match="rewriting gives"):
+        normalize(parse_word("x*y*y*x"), F7, 3)
+
+    def unchecked(self):
+        tx, ty = planted(self.phi, self.m)
+        return {("x", FWD): tx, ("y", FWD): ty,
+                ("x", INV): presentation._iterate(tx, self.q - 2),
+                ("y", INV): presentation._iterate(ty, self.q - 2)}
+
+    monkeypatch.setattr(PresentationContext, "steps", property(unchecked))
+    with pytest.raises(VerificationFailureError, match="word"):
+        verify_presentation(F7, 3, max_len=3)
+    with pytest.raises(VerificationFailureError, match="rewriting produced"):
+        normalize(parse_word("x*y*y*x"), F7, 3)
 
 
 # -- the pairing table --

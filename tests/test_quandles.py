@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from quandlelab.fields import (
 )
 from quandlelab.polysys import prime_powers_upto
 from quandlelab.quandles import (
+    AxiomReport,
     Quandle,
     alexander,
     check_axioms,
@@ -91,6 +94,132 @@ def test_check_axioms_malformed():
         check_axioms([[0, 2], [1, 0]])
     with pytest.raises(MalformedTableError):
         Quandle([[0, 0], [0, 1]])  # column 0 not bijective
+
+
+def _full_scan_axioms(table) -> AxiomReport:
+    """Reference check by loops: every column for bijectivity and every
+    triple for right distributivity, O(n^3), with at most three witnesses
+    per z, in the library's order."""
+    T = np.asarray(table, dtype=int).tolist()
+    n = len(T)
+    failures = []
+    bijective = True
+    for y in range(n):
+        if sorted(T[x][y] for x in range(n)) != list(range(n)):
+            bijective = False
+            failures.append(("translation-not-bijective", (y,)))
+    distributive = True
+    for z in range(n):
+        witnesses = [(x, y) for x in range(n) for y in range(n)
+                     if T[T[x][y]][z] != T[T[x][z]][T[y][z]]]
+        distributive &= not witnesses
+        failures += [("not-right-distributive", (x, y, z)) for x, y in witnesses[:3]]
+    not_idempotent = [x for x in range(n) if T[x][x] != x]
+    failures += [("not-idempotent", (x,)) for x in not_idempotent[:3]]
+    rack = bijective and distributive
+    return AxiomReport(rack=rack, quandle=rack and not not_idempotent, failures=failures)
+
+
+def test_check_axioms_matches_full_scan_on_every_order_3_table():
+    verdicts = set()
+    for entries in product(range(3), repeat=9):
+        T = np.array(entries).reshape(3, 3)
+        report = check_axioms(T)
+        assert report == _full_scan_axioms(T), T
+        verdicts.add((report.rack, report.quandle))
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_check_axioms_matches_full_scan_on_seeded_tables():
+    """Arbitrary tables, tables whose columns are random permutations, and
+    relabeled quandles of orders 4-7 with one column composed with a
+    random transposition (or left alone), which keeps every column
+    bijective but may break distributivity off the generators."""
+    rng = np.random.default_rng(20)
+    known = [dihedral(n) for n in range(4, 8)] + [trivial(n) for n in range(4, 8)]
+    for q in (4, 5, 7):
+        F = build_field_q(q)
+        known += [alexander(F, a) for a in range(1, q)]
+    racks = 0
+    for i in range(2000):
+        kind = i % 3
+        if kind == 0:
+            n = int(rng.integers(4, 8))
+            T = rng.integers(0, n, size=(n, n))
+        elif kind == 1:
+            n = int(rng.integers(4, 8))
+            T = np.column_stack([rng.permutation(n) for _ in range(n)])
+        else:
+            Q = known[int(rng.integers(len(known)))]
+            n = Q.order
+            sigma = rng.permutation(n)
+            T = np.empty((n, n), dtype=int)
+            T[np.ix_(sigma, sigma)] = sigma[Q.table]
+            if rng.random() < 0.8:
+                z, a, b = rng.integers(n), *rng.choice(n, 2, replace=False)
+                col = T[:, z].copy()
+                T[col == a, z], T[col == b, z] = b, a
+        report = check_axioms(T)
+        assert report == _full_scan_axioms(T), T
+        racks += report.rack
+    assert racks >= 50
+
+
+def test_check_axioms_catches_a_planted_non_generator_column():
+    """(F_7, 3) is generated by 0 and 1; replacing column 4 by another
+    permutation keeps every column bijective and breaks distributivity,
+    which the generator columns alone would not show."""
+    Q = alexander(build_field(7), 3)
+    assert generating_set(Q) == [0, 1]
+    T = Q.table.copy()
+    T[:, 4] = T[[1, 0, 2, 3, 4, 5, 6], 4]
+    assert (np.sort(T, axis=0) == np.arange(7)[:, None]).all()
+    report = check_axioms(T)
+    assert not report.rack and not report.quandle
+    assert report == _full_scan_axioms(T)
+    assert any(a == "not-right-distributive" and w[2] == 4 for a, w in report.failures)
+
+
+def _greedy_loop_generating_set(Q) -> list[int]:
+    """The greedy generating set by a closure over Python sets."""
+    rows = Q.table.tolist()
+    n = Q.order
+    gens, closed = [], set()
+    while len(closed) < n:
+        gens.append(min(set(range(n)) - closed))
+        closed = set(gens)
+        frontier = list(gens)
+        while frontier:
+            new = []
+            for a in list(closed):
+                for b in frontier:
+                    for c in (rows[a][b], rows[b][a]):
+                        if c not in closed:
+                            closed.add(c)
+                            new.append(c)
+            frontier = new
+    return gens
+
+
+def test_generating_set_matches_the_greedy_loop():
+    quandles = [dihedral(n) for n in range(1, 31)] + [trivial(n) for n in range(1, 31)]
+    for q in prime_powers_upto(30, minimum=2):
+        F = build_field_q(q)
+        quandles += [alexander(F, a) for a in range(1, q)]
+    for n in range(1, 31):
+        Zn = [[(a + b) % n for b in range(n)] for a in range(n)]
+        quandles += [conj_quandle(Zn), core_quandle(Zn)]
+    quandles += [conj_quandle(s3_table()), core_quandle(s3_table())]
+    rng = np.random.default_rng(16)
+    for q in prime_powers_upto(16, minimum=2):
+        F = build_field_q(q)
+        for a in range(1, q):
+            sigma = rng.permutation(q)
+            T = np.empty((q, q), dtype=int)
+            T[np.ix_(sigma, sigma)] = sigma[alexander(F, a).table]
+            quandles.append(Quandle(T))
+    for Q in quandles:
+        assert generating_set(Q) == _greedy_loop_generating_set(Q), Q
 
 
 def test_validate_group_accepts_s3():
