@@ -191,20 +191,29 @@ def analyze_2d_pair(F: FieldTable, alpha: int, A, B, tol: float = 1e-9) -> PairV
                            residual=float("inf"))
     scale = max(1.0, float(np.linalg.norm(A)), float(np.linalg.norm(B)))
     PA, PB = _power_ladder(A, q - 1), _power_ladder(B, q - 1)
+    nA, nB = np.linalg.norm(PA, axis=(1, 2)), np.linalg.norm(PB, axis=(1, 2))
 
+    # each side X M X^-1 comes with its norm product |X| |M| |X^-1|, and a
+    # relation's residual is its backward error, the gap between the sides
+    # over the larger norm product: rounding holds it near eps however
+    # ill-conditioned the powers are
+    def conjugate(P, nP, j, M, nM):
+        return P[j] @ M @ P[-j], nP[j] * nM * nP[-j]
+
+    a, b = (A, nA[1]), (B, nB[1])
     checks = [
-        ("A^(q-1) B A^(1-q) = B", PA[q - 1] @ B @ PA[1 - q], B),
-        ("B^(q-1) A B^(1-q) = A", PB[q - 1] @ A @ PB[1 - q], A),
+        ("A^(q-1) B A^(1-q) = B", conjugate(PA, nA, q - 1, *b), b),
+        ("B^(q-1) A B^(1-q) = A", conjugate(PB, nB, q - 1, *a), a),
     ]
     for k in range(1, q - 1):
         t = phi[k]
         checks.append((f"B^{k} A B^-{k} = A^{t} B A^-{t}",
-                       PB[k] @ A @ PB[-k], PA[t] @ B @ PA[-t]))
+                       conjugate(PB, nB, k, *a), conjugate(PA, nA, t, *b)))
         checks.append((f"A^{k} B A^-{k} = B^{t} A B^-{t}",
-                       PA[k] @ B @ PA[-k], PB[t] @ A @ PB[-t]))
+                       conjugate(PA, nA, k, *b), conjugate(PB, nB, t, *a)))
 
-    for name, lhs, rhs in checks:
-        res = float(np.linalg.norm(lhs - rhs)) / max(1.0, float(np.linalg.norm(rhs)))
+    for name, (lhs, lnorm), (rhs, rnorm) in checks:
+        res = float(np.linalg.norm(lhs - rhs) / max(lnorm, rnorm))
         if res > tol:
             return PairVerdict("invalid", violated=name, residual=res)
 

@@ -11,6 +11,16 @@ For images that generate an infinite group the decomposition degrades to a
 search for one-dimensional invariant subspaces and reports incompleteness
 instead of guessing.
 
+A finite image group is held in one of two forms.  When every image is a
+permutation matrix it is a (|G|, d) index array, row p the permutation
+with g e_j = e_{p[j]}, closed exactly over the images of a generating set;
+otherwise it is a (|G|, d, d) stack of matrices.  `_act` applies either
+form to a basis B, as the gather B[p^{-1}] or as a matmul, and the
+decomposition's restrictions B^H g B and every invariance residual go
+through it; the character norm of a permutation group is a gather too,
+tr(gP) = sum_j P[j, p[j]].  A representation finds its permutation form
+once and keeps it, which is why its matrices are read-only.
+
 Every numerical rank in the library (kernels, spans, ranks and the
 invertibility gates) reads one rule on `np.linalg.svd`, `_rank_cut`: keep
 the singular values s > rtol * max(s_0, 1), s_0 the largest; each call site
@@ -34,7 +44,7 @@ from .errors import (
     SingularMatrixError,
     ToleranceFailureError,
 )
-from .quandles import Quandle, perm_closure
+from .quandles import Quandle, generating_set, perm_closure
 
 INVARIANCE_TOL = 1e-9
 CLUSTER_TOL = 1e-8
@@ -137,28 +147,98 @@ def jordan_clusters(M: np.ndarray, tol: float = CLUSTER_TOL) -> list[EigenCluste
     return out
 
 
-def _round_key(m: np.ndarray, decimals: int) -> bytes:
-    """Hash key of a matrix rounded to `decimals`; adding 0.0 turns the
-    -0.0 that rounding leaves on tiny negative entries into 0.0."""
-    return (m.round(decimals) + 0.0).tobytes()
+class _MatrixSet:
+    """Matrices of one shape up to an entrywise tolerance, in insertion order.
+
+    Each member is filed under floor(f(m) / tol) for one fixed random
+    linear functional f of the real and imaginary parts whose weights sum
+    to one, so |f(a) - f(b)| <= max |a - b|: matrices within tol of each
+    other land in the same or adjacent buckets, and a new matrix is
+    compared with the members of its bucket and both neighbours.  Unlike a
+    key of rounded entries, no rounding boundary can separate two equal
+    elements."""
+
+    def __init__(self, shape: tuple[int, ...], tol: float):
+        w = np.random.default_rng(0).random((2,) + tuple(shape))
+        w /= w.sum()
+        self._w = (w[0] - 1j * w[1]).ravel()   # Re(w m) = w0 . Re m + w1 . Im m
+        self.tol = tol
+        self._buckets: dict[int, list[int]] = {}
+        self.elements: list[np.ndarray] = []
+
+    def add(self, m: np.ndarray) -> bool:
+        """File m unless a member is within tol of it; True if m is new."""
+        key = int(np.floor((self._w @ m.ravel()).real / self.tol))
+        for k in (key - 1, key, key + 1):
+            for i in self._buckets.get(k, ()):
+                if np.max(np.abs(self.elements[i] - m)) <= self.tol:
+                    return False
+        self._buckets.setdefault(key, []).append(len(self.elements))
+        self.elements.append(m)
+        return True
+
+
+def _inverse_perms(perms: np.ndarray) -> np.ndarray:
+    """The inverse of each row of a (n, d) array of permutations."""
+    inverse = np.empty_like(perms)
+    np.put_along_axis(inverse, perms, np.broadcast_to(np.arange(perms.shape[1]), perms.shape),
+                      axis=1)
+    return inverse
+
+
+def _permutation_form(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(perms, inverse) when every matrix of the contiguous complex stack m
+    is a permutation matrix up to tol in each real and imaginary part:
+    m[x] e_j = e_{perms[x, j]}, and inverse[x] is the inverse permutation
+    of perms[x].  None otherwise."""
+    n, d = m.shape[:2]
+    parts = m.reshape(-1).view(np.float64)            # re, im interleaved
+    hit = np.flatnonzero(~((parts <= tol) & (parts >= -tol)))   # NaN is a hit
+    # one hit in each row, on a real part within tol of 1: the hits of
+    # matrix x, row i, sit at 2 (x d d + i d + j) with j = inverse[x, i]
+    if (hit.size != n * d or not hit.size or np.any(hit % 2)
+            or not np.array_equal(hit // (2 * d), np.arange(n * d))
+            or np.max(np.abs(parts[hit] - 1)) > tol):
+        return None
+    inverse = (hit // 2 % d).reshape(n, d)
+    if not np.array_equal(np.sort(inverse, axis=1), np.broadcast_to(np.arange(d), (n, d))):
+        return None
+    perms = _inverse_perms(inverse)
+    perms.setflags(write=False)
+    inverse.setflags(write=False)
+    return perms, inverse
 
 
 class QuandleRep:
-    """A validated map element -> invertible complex matrix."""
+    """A validated map element -> invertible complex matrix.
+
+    `matrices` is read-only, as `Quandle.table` is: the permutation form is
+    read from it once and kept."""
 
     def __init__(self, quandle: Quandle, matrices: np.ndarray):
         self.quandle = quandle
         self.matrices = np.ascontiguousarray(matrices, dtype=complex)
+        self.matrices.setflags(write=False)
         self.dim = int(self.matrices.shape[1])
+        self._perm_form: tuple[np.ndarray, np.ndarray] | None | bool = False  # False: not read yet
 
     def mat(self, x: int) -> np.ndarray:
         return self.matrices[x]
 
+    def permutation_form(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(perms, inverse), the (order, dim) index arrays with
+        rho(x) e_j = e_{perms[x, j]} and their inverse permutations, when
+        every image is within 1e-12 of a permutation matrix; else None.
+        Found on the first call and kept."""
+        if self._perm_form is False:
+            self._perm_form = _permutation_form(self.matrices, 1e-12)
+        return self._perm_form
+
     def distinct_matrices(self) -> list[np.ndarray]:
-        seen = {}
+        seen = _MatrixSet(self.matrices.shape[1:], 1e-9)
         for m in self.matrices:
-            seen.setdefault(_round_key(m, 9), m)
-        return list(seen.values())
+            seen.add(m)
+        return seen.elements
 
     def __repr__(self) -> str:
         return f"QuandleRep({self.quandle!r}, dim={self.dim})"
@@ -229,22 +309,14 @@ def matrix_from_json(data) -> np.ndarray:
 def regular_rep(Q: Quandle) -> QuandleRep:
     """Permutation matrices of the right action: rho(t) e_x = e_{x > t}."""
     n = Q.order
+    t = np.arange(n)
     mats = np.zeros((n, n, n), dtype=complex)
-    for t in range(n):
-        for x in range(n):
-            mats[t, Q.op(x, t), x] = 1.0
+    mats[t[:, None], Q.table.T, t[None, :]] = 1.0    # mats[t, x > t, x]
     return QuandleRep(Q, mats)
 
 
-def is_permutation_rep(rep: QuandleRep, tol: float = 1e-12) -> bool:
-    m = rep.matrices
-    if not np.allclose(m.imag, 0, atol=tol):
-        return False
-    r = m.real
-    binary = np.all(np.isclose(r, 0, atol=tol) | np.isclose(r, 1, atol=tol))
-    return bool(binary
-                and np.allclose(r.sum(axis=1), 1, atol=tol)
-                and np.allclose(r.sum(axis=2), 1, atol=tol))
+def is_permutation_rep(rep: QuandleRep) -> bool:
+    return rep.permutation_form() is not None
 
 
 @dataclass
@@ -269,12 +341,34 @@ class Subspace:
         return self.basis.conj().T @ matrix @ self.basis
 
 
+def _act(group: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """g B for every g of a stack, side by side as a (d, |G|, k) array: the
+    gather B[a] for an index array whose rows a give g B = B[a] (a is the
+    inverse of the permutation p with g e_j = e_{p[j]}), a matmul for a
+    (|G|, d, d) stack of matrices."""
+    return np.take(B, group.T, axis=0) if group.ndim == 2 else (group @ B).transpose(1, 0, 2)
+
+
+def _restrict(group: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """B^H g B for every g of a stack read as in `_act`, (|G|, k, k)."""
+    d, k = B.shape
+    return (B.conj().T @ _act(group, B).reshape(d, -1)).reshape(k, -1, k).transpose(1, 0, 2)
+
+
+def _images(rep: QuandleRep) -> np.ndarray:
+    """The images rho(x) in the form `_act` reads."""
+    form = rep.permutation_form()
+    return rep.matrices if form is None else form[1]
+
+
 def invariance_residual(rep: QuandleRep, subspace: Subspace) -> float:
     """max over x of || rho(x) B - B (B^H rho(x) B) ||_F, which is
     || (I - P) rho(x) B ||_F; zero iff the span is invariant."""
     B = subspace.basis
-    MB = rep.matrices @ B
-    return float(np.max(np.linalg.norm(MB - B @ (B.conj().T @ MB), axis=(1, 2))))
+    d, k = B.shape
+    MB = _act(_images(rep), B).reshape(d, -1)
+    E = (MB - B @ (B.conj().T @ MB)).reshape(d, -1, k)
+    return float(np.sqrt(np.max(np.einsum("ixa,ixa->x", E.conj(), E).real)))
 
 
 def augmentation_split(rep: QuandleRep) -> tuple[Subspace, Subspace]:
@@ -300,62 +394,65 @@ def _finite_order_precheck(gens: list[np.ndarray]) -> float:
     element.  Catches unipotent or scaling generators, eigenvalues off the
     unit circle by more than about 1e-11 (rounding a matrix of finite
     order leaves about 1e-16), and Jordan blocks that rounding has split
-    into nearly parallel eigenvectors, long before any closure cap."""
-    norm_bound = 1e6 * max(float(np.linalg.norm(g)) for g in gens)
-    for g in gens:
-        vals, vecs = np.linalg.eig(g)
-        if np.max(np.abs(np.abs(vals) - 1)) > 1e-6:
-            raise GroupNotFiniteError("a generator has an eigenvalue off the unit circle")
-        if rank(vecs, 1e-10) < len(vecs):
-            raise GroupNotFiniteError("a generator is not diagonalizable")
-        for power in (g, np.linalg.inv(g)):
-            for _ in range(40):
-                power = power @ power
-                if float(np.linalg.norm(power)) > norm_bound:
-                    raise GroupNotFiniteError("the powers of a generator grow without bound")
+    into nearly parallel eigenvectors, long before any closure cap.  All
+    generators are checked at once, as one stack."""
+    G = np.asarray(gens)
+    norm_bound = 1e6 * float(np.max(np.linalg.norm(G, axis=(1, 2))))
+    vals, vecs = np.linalg.eig(G)
+    if np.max(np.abs(np.abs(vals) - 1)) > 1e-6:
+        raise GroupNotFiniteError("a generator has an eigenvalue off the unit circle")
+    d = G.shape[1]
+    if any(_rank_cut(s, 1e-10) < d for s in np.linalg.svd(vecs, compute_uv=False)):
+        raise GroupNotFiniteError("a generator is not diagonalizable")
+    powers = np.concatenate([G, np.linalg.inv(G)])
+    for _ in range(40):
+        powers = powers @ powers
+        if float(np.max(np.linalg.norm(powers, axis=(1, 2)))) > norm_bound:
+            raise GroupNotFiniteError("the powers of a generator grow without bound")
     return norm_bound
 
 
-def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> list[np.ndarray]:
-    """Closure of the image matrices under multiplication.
+def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> np.ndarray:
+    """The group generated by the images, as an ndarray.
 
-    Permutation representations close over exact permutations; otherwise
-    closure hashes matrices rounded well below the working tolerance.
-    Raises GroupNotFiniteError when the cap is hit.
+    For a permutation representation it is the (|G|, d) intp array of the
+    permutations p, g e_j = e_{p[j]}, in ascending order, closed exactly
+    with `perm_closure` over the images of `generating_set`: those
+    generate every image of a representation, since
+    rho(x > y) = rho(y) rho(x) rho(y)^{-1}, and any image left outside
+    their closure is adjoined before closing again, so the result is the
+    group of all images for any input.  Otherwise it is the (|G|, d, d)
+    stack of the matrix closure, whose elements are told apart within 1e-7
+    (`_MatrixSet`).  Raises GroupNotFiniteError when the cap is hit.
     """
-    if is_permutation_rep(rep):
-        # column j of a permutation matrix has its one in row perm[j]
-        perms = sorted(set(map(tuple, rep.matrices.real.argmax(axis=1).tolist())))
+    form = rep.permutation_form()
+    if form is not None:
+        perms = form[0]
+        gens = sorted({tuple(perms[x].tolist()) for x in generating_set(rep.quandle)})
         try:
-            closed = perm_closure(perms, cap)
+            closed = perm_closure(gens, cap)
+            outside = sorted(set(map(tuple, perms.tolist())).difference(closed))
+            if outside:
+                closed = perm_closure(gens + outside, cap)
         except ClosureBudgetError as exc:
             raise GroupNotFiniteError(str(exc)) from exc
-        out = []
-        for p in closed:
-            m = np.zeros((rep.dim, rep.dim), dtype=complex)
-            for j, pj in enumerate(p):
-                m[pj, j] = 1.0
-            out.append(m)
-        return out
+        return np.array(closed, dtype=np.intp).reshape(len(closed), rep.dim)
 
-    gens = rep.distinct_matrices()
+    gens = np.array(rep.distinct_matrices())
     norm_bound = _finite_order_precheck(gens)
-    identity = np.eye(rep.dim, dtype=complex)
-    elements = {_round_key(identity, 7): identity}
-    queue = [identity]
+    elements = _MatrixSet(gens.shape[1:], 1e-7)
+    elements.add(np.eye(rep.dim, dtype=complex))
+    queue = [elements.elements[0]]
     while queue:
-        h = queue.pop()
-        for g in gens:
-            gh = g @ h
-            if float(np.linalg.norm(gh)) > norm_bound:
-                raise GroupNotFiniteError("matrix products grow without bound")
-            k = _round_key(gh, 7)
-            if k not in elements:
-                if len(elements) >= cap:
+        products = gens @ queue.pop()
+        if float(np.max(np.linalg.norm(products, axis=(1, 2)))) > norm_bound:
+            raise GroupNotFiniteError("matrix products grow without bound")
+        for gh in products:
+            if elements.add(gh):
+                if len(elements.elements) > cap:
                     raise GroupNotFiniteError(f"matrix closure exceeded cap {cap}")
-                elements[k] = gh
                 queue.append(gh)
-    return list(elements.values())
+    return np.array(elements.elements)
 
 
 def commutant_dimension(mats: list[np.ndarray], tol: float = 1e-8) -> int:
@@ -368,22 +465,47 @@ def commutant_dimension(mats: list[np.ndarray], tol: float = 1e-8) -> int:
     return k * k - rank(A, tol)
 
 
+def _character_value(group: np.ndarray, basis: np.ndarray) -> float:
+    """(1/|G|) sum_g |tr(B^H g B)|^2, read as tr(g P) with P = B B^H: a
+    gather of P[j, p[j]] for a permutation group, a dot product per
+    element of a matrix stack."""
+    P = basis @ basis.conj().T
+    if group.ndim == 2:
+        traces = np.take(P.ravel(), group + P.shape[0] * np.arange(P.shape[0])).sum(axis=1)
+    else:
+        traces = group.reshape(len(group), -1) @ P.T.reshape(-1)
+    return float(np.sum(np.abs(traces) ** 2)) / len(group)
+
+
 def character_norm(group: np.ndarray, basis: np.ndarray,
                    tol: float = CLUSTER_TOL) -> int:
     """<chi_W, chi_W> = (1/|G|) sum_g |tr(B^H g B)|^2 for the span W of the
-    orthonormal columns B, an invariant subspace of the finite matrix
-    group G given as a (|G|, d, d) stack.  This is dim End_G(W) (Serre,
-    Linear Representations of Finite Groups, 2.3 Thm 5): 1 exactly when W
-    is irreducible, and the orbital count when W is the whole space of a
-    permutation representation.  A value further than tol from an integer
-    raises ToleranceFailureError."""
-    P = basis @ basis.conj().T
-    traces = group.reshape(len(group), -1) @ P.T.reshape(-1)   # tr(g P)
-    value = float(np.sum(np.abs(traces) ** 2)) / len(group)
+    orthonormal columns B, an invariant subspace of the finite group G
+    given as `matrix_group` returns it: a (|G|, d) index array of
+    permutations, whose traces tr(g B B^H) are the O(|G| d) gathers
+    sum_j P[j, p[j]], or a (|G|, d, d) stack of matrices.  This is
+    dim End_G(W) (Serre, Linear Representations of Finite Groups, 2.3
+    Thm 5): 1 exactly when W is irreducible, and the orbital count when W
+    is the whole space of a permutation representation.  A value further
+    than tol from an integer raises ToleranceFailureError."""
+    value = _character_value(group, basis)
     norm = round(value)
     if abs(value - norm) > tol:
         raise ToleranceFailureError(f"character norm {value!r} is not an integer")
     return norm
+
+
+def _conjugation_mean(H: np.ndarray, acts: np.ndarray) -> np.ndarray:
+    """(1/|G|) sum_g g H g^H for a permutation group given by the index rows
+    a of `_act` (g B = B[a]): entry (i, j) averages H[a_i, a_j] over the
+    group.  The gather is taken over blocks of rows, each at most about
+    2^22 entries, so that large groups stay in memory."""
+    n, d = acts.shape
+    out = np.empty_like(H)
+    step = max(1, (1 << 22) // (n * d))
+    for i in range(0, d, step):
+        out[i:i + step] = H[acts[:, i:i + step, None], acts[:, None, :]].mean(axis=0)
+    return out
 
 
 @dataclass
@@ -429,27 +551,32 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
     matrix is averaged over G into the commutant; eigenspaces of the
     average are invariant, and recursion stops where the character norm of
     G on the subspace is one (Schur certificate; see `character_norm`).
+    A permutation group acts by gathers (`_act`); on the whole space the
+    average of g H g^H is the gather H[p^-1][:, p^-1] over the group.
     For an infinite image group the fallback collects one-dimensional
     invariant subspaces and flags the decomposition as incomplete if they
     do not exhaust the space.
     """
     try:
-        group = matrix_group(rep, cap)
+        G = matrix_group(rep, cap)
     except GroupNotFiniteError:
         return _decompose_infinite(rep, tol)
 
-    # a finite matrix group can always be made unitary: average the Gram
-    # matrix over the group and conjugate by its square root V sqrt(w) V^H,
-    # the average being Hermitian positive definite
-    G = np.array(group)
-    gram = G.conj().transpose(0, 2, 1) @ G
     back = None
-    if not np.allclose(gram, np.eye(rep.dim), atol=1e-9):
-        w, V = np.linalg.eigh(gram.mean(axis=0))
-        T = (V * np.sqrt(w)) @ V.conj().T
-        Tinv = np.linalg.inv(T)
-        G = T @ G @ Tinv
-        back = Tinv
+    if G.ndim == 2:
+        acts = _inverse_perms(G)    # permutations are unitary; g B = B[p^-1]
+    else:
+        # a finite matrix group can always be made unitary: average the Gram
+        # matrix over the group and conjugate by its square root
+        # V sqrt(w) V^H, the average being Hermitian positive definite
+        gram = G.conj().transpose(0, 2, 1) @ G
+        if not np.allclose(gram, np.eye(rep.dim), atol=1e-9):
+            w, V = np.linalg.eigh(gram.mean(axis=0))
+            T = (V * np.sqrt(w)) @ V.conj().T
+            Tinv = np.linalg.inv(T)
+            G = T @ G @ Tinv
+            back = Tinv
+        acts = G
 
     rng = np.random.default_rng(seed)
     parts: list[Part] = []
@@ -459,13 +586,20 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
         if character_norm(G, basis) == 1:
             parts.append(Part(sub, irreducible=True))
             return
-        R = basis.conj().T @ G @ basis
-        RH = R.conj().transpose(0, 2, 1)
+        if G.ndim == 2 and sub.dim == rep.dim:      # the whole space, basis I
+            def average(H):
+                return _conjugation_mean(H, acts)
+        else:
+            R = _restrict(acts, basis)
+            RH = R.conj().transpose(0, 2, 1)
+
+            def average(H):
+                return (R @ H @ RH).mean(axis=0)
         for attempt in range(6):
             H = rng.standard_normal((sub.dim, sub.dim)) + 1j * rng.standard_normal(
                 (sub.dim, sub.dim))
             H = H + H.conj().T
-            avg = (R @ H @ RH).mean(axis=0)
+            avg = average(H)
             avg = (avg + avg.conj().T) / 2
             vals, vecs = np.linalg.eigh(avg)
             clusters = cluster(vals, cluster_tol)
@@ -552,8 +686,8 @@ def is_irreducible(rep: QuandleRep, subspace: Subspace,
     if res > INVARIANCE_TOL:
         raise InvalidParamsError(f"subspace is not invariant (residual {res:.2e})")
     B = subspace.basis
-    restricted = QuandleRep(rep.quandle, B.conj().T @ rep.matrices @ B)
-    group = np.array(matrix_group(restricted, cap))
+    restricted = QuandleRep(rep.quandle, _restrict(_images(rep), B))
+    group = matrix_group(restricted, cap)
     return character_norm(group, np.eye(subspace.dim), tol) == 1
 
 

@@ -17,7 +17,7 @@ from quandlelab.cyclic_reps import (
 )
 from quandlelab.counterexamples import multiplicity_data
 from quandlelab.errors import IllConditionedError, InvalidParamsError, VerificationFailureError
-from quandlelab.fields import build_field
+from quandlelab.fields import build_field, build_field_q, primitive_elements
 from quandlelab.quandles import alexander, trivial
 from quandlelab.reps import kernel, regular_rep
 
@@ -147,6 +147,32 @@ def test_analyze_2d_pair_commuting_distinct_is_invalid(F5):
     # commuting distinct images force A = B through the relations
     v = analyze_2d_pair(F5, 2, np.diag([2.0, 3.0]), np.diag([3.0, 2.0]))
     assert v.kind == "invalid"
+
+
+# constant pairs (A, A) whose powers are ill-conditioned: cond(A^7) = 6.6e9
+# at q = 8 and cond(A^8) = 5.8e7 at q = 9, where the residual relative to
+# |B| alone reached 3.2e-8 and 2.5e-9 by rounding
+ILL_CONDITIONED_CONSTANT = [
+    (8, [[0.62809449, -0.68142014], [-1.71292214, 2.40226361]]),
+    (9, [[-0.08709625, 0.71478963], [0.68770494, 2.36696084]]),
+]
+
+
+@pytest.mark.parametrize("q,A", ILL_CONDITIONED_CONSTANT)
+def test_analyze_2d_pair_ill_conditioned_constant(q, A):
+    """Each relation is measured by its backward error, so rounding in
+    ill-conditioned powers does not make an exactly constant pair invalid,
+    while a 1e-6 change to one entry of B still does."""
+    F = build_field_q(q)
+    alpha = primitive_elements(F)[0]
+    A = np.array(A)
+    assert analyze_2d_pair(F, alpha, A, A).kind == "constant"
+    for entry in range(4):
+        B = A.copy()
+        B.flat[entry] += 1e-6
+        v = analyze_2d_pair(F, alpha, A, B)
+        assert v.kind == "invalid"
+        assert v.residual > 1e-8
 
 
 def test_analyze_2d_pair_rejects_singular(F5):

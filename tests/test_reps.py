@@ -140,6 +140,56 @@ def test_regular_rep_moves_basis_vectors():
             assert image[Q.op(x, t)] == 1
 
 
+def constructor_quandles(max_order: int):
+    """Every quandle the constructors build up to max_order: dihedral and
+    trivial of each order, Alexander for each nonzero alpha of each field,
+    and the conjugation and core quandles of S3 and of the cyclic groups."""
+    from quandlelab.counterexamples import s3_table
+    from quandlelab.quandles import conj_quandle, core_quandle
+
+    out = [make(n) for n in range(1, max_order + 1) for make in (dihedral, trivial)]
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29):
+        if q <= max_order:
+            F = build_field_q(q)
+            out += [alexander(F, a) for a in range(1, q)]
+    groups = [s3_table()] + [[[(a + b) % n for b in range(n)] for a in range(n)]
+                             for n in range(1, max_order + 1)]
+    out += [make(T) for T in groups for make in (conj_quandle, core_quandle)]
+    return out
+
+
+def test_regular_rep_matches_the_loop():
+    """The fancy-index build equals the entry-by-entry loop it replaced."""
+    for Q in constructor_quandles(30):
+        n = Q.order
+        mats = np.zeros((n, n, n), dtype=complex)
+        for t in range(n):
+            for x in range(n):
+                mats[t, Q.op(x, t), x] = 1.0
+        assert np.array_equal(regular_rep(Q).matrices, mats), Q
+
+
+def test_rep_matrices_are_read_only():
+    rep = regular_rep(dihedral(5))
+    with pytest.raises(ValueError):
+        rep.matrices[0, 0, 0] = 2.0
+    perms, inverse = rep.permutation_form()
+    with pytest.raises(ValueError):
+        perms[0, 0] = 1
+
+
+def test_permutation_form_reads_the_images():
+    Q = dihedral(7)
+    perms, inverse = regular_rep(Q).permutation_form()
+    assert np.array_equal(perms, Q.table.T)            # rho(t) e_x = e_{x > t}
+    assert np.array_equal(np.take_along_axis(perms, inverse, axis=1),
+                          np.broadcast_to(np.arange(7), (7, 7)))
+    mats = regular_rep(Q).matrices.copy()
+    mats[3, 0, 0] += 1e-9                               # no longer a permutation matrix
+    assert QuandleRep(Q, mats).permutation_form() is None
+    assert QuandleRep(Q, 1j * regular_rep(Q).matrices).permutation_form() is None
+
+
 def test_augmentation_split():
     for n in (6, 11):
         rep = regular_rep(dihedral(n))
@@ -156,12 +206,85 @@ def test_augmentation_split_rejects_non_permutation():
 
 
 def test_matrix_group_closure_is_inner_group():
+    """The index-array group of a regular representation is Inn(Q), its
+    rows in the ascending order of inner_group's permutations."""
     from quandlelab.quandles import inner_group
 
-    for n in (6, 7, 10):
-        Q = dihedral(n)
+    F9 = build_field_q(9)
+    for Q in [dihedral(n) for n in (6, 7, 10)] + [alexander(F9, primitive_elements(F9)[0])]:
         group = matrix_group(regular_rep(Q))
-        assert len(group) == inner_group(Q).order
+        assert group.dtype == np.intp
+        assert [tuple(p) for p in group.tolist()] == inner_group(Q).elements
+
+
+def test_matrix_group_of_images_outside_the_generators_closure():
+    """A permutation "representation" whose non-generator image lies outside
+    the group of the generator images: the group is still that of all
+    images, as perm_closure over every distinct image finds it."""
+    from quandlelab.quandles import generating_set, perm_closure
+
+    for n, image in [(5, [1, 0, 2, 3, 4])] + [(n, np.roll(np.arange(n), 1)) for n in (6, 8, 12)]:
+        # a swap of e_0 and e_1 (the group becomes S_5), or the shift
+        # e_j -> e_(j+1), outside Inn(R_n) for even n
+        Q = dihedral(n)
+        gens = generating_set(Q)
+        rep = regular_rep(Q)
+        mats = rep.matrices.copy()
+        x = next(x for x in range(n) if x not in gens)
+        mats[x] = np.eye(n)[:, image]                           # e_j -> e_image[j]
+        bent = QuandleRep(Q, mats)
+        perms = bent.permutation_form()[0]
+        want = perm_closure(sorted(set(map(tuple, perms.tolist()))))
+        got = matrix_group(bent)
+        assert [tuple(p) for p in got.tolist()] == want
+        assert len(want) > len(matrix_group(rep))
+
+
+def dense_group(group: np.ndarray) -> np.ndarray:
+    """The (|G|, d, d) permutation matrices of an index-array group."""
+    n, d = group.shape
+    G = np.zeros((n, d, d), dtype=complex)
+    G[np.arange(n)[:, None], group, np.arange(d)[None, :]] = 1.0
+    return G
+
+
+@pytest.mark.parametrize("Q", [dihedral(9), dihedral(12),
+                               alexander(build_field_q(8), 2), trivial(4)], ids=str)
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_gathers_agree_with_the_dense_stack(Q, k):
+    """On seeded orthonormal bases, invariant or not, the gathered
+    character value and invariance residual equal the dense formulas."""
+    from quandlelab.reps import _character_value
+
+    rep = regular_rep(Q)
+    group = matrix_group(rep)
+    G = dense_group(group)
+    rng = np.random.default_rng(k)
+    d = Q.order
+    for _ in range(3):
+        B, _ = np.linalg.qr(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))
+        traces = np.einsum("ia,gij,ja->g", B.conj(), G, B)
+        assert abs(_character_value(group, B) - np.mean(np.abs(traces) ** 2)) <= 1e-14
+        MB = rep.matrices @ B
+        dense = np.max(np.linalg.norm(MB - B @ (B.conj().T @ MB), axis=(1, 2)))
+        assert abs(invariance_residual(rep, Subspace(B)) - dense) <= 1e-14
+        assert _character_value(G, B) == pytest.approx(_character_value(group, B), abs=1e-14)
+
+
+def test_matrix_set_joins_entries_across_a_rounding_boundary():
+    """0.12345675 +- 1e-12 round to different 7-decimal keys; the
+    functional buckets still count them as one element."""
+    from quandlelab.reps import _MatrixSet
+
+    a = np.full((3, 3), 0.12345675 + 1e-12, dtype=complex)
+    b = np.full((3, 3), 0.12345675 - 1e-12, dtype=complex)
+    assert not np.array_equal(a.round(7), b.round(7))
+    for tol in (1e-7, 1e-9):
+        seen = _MatrixSet((3, 3), tol)
+        assert seen.add(a)
+        assert not seen.add(b)
+        assert seen.add(a + 10 * tol)
+        assert seen.elements[0] is a and len(seen.elements) == 2
 
 
 def test_commutant_dimension_known_cases():
@@ -296,10 +419,11 @@ def test_decompose_similarity_conjugated_regular_rep(kind, order, alpha, s):
     assert all(character_norm(group, p.subspace.basis) == 1 for p in got.parts)
 
 
-@pytest.mark.parametrize("n", [48, 100])
+@pytest.mark.parametrize("n", [48, 100, 200])
 def test_decompose_large_dihedral_matches_closed_form(n):
     """Orders well past the acceptance range decompose with the theorem's
-    label multiset (n = 48 took about a minute under the Kronecker SVD)."""
+    label multiset (n = 48 took about a minute under the Kronecker SVD;
+    n = 200 about 8 s and 1 GB over dense group stacks)."""
     decomp = decompose(regular_rep(dihedral(n)))
     assert decomp.complete
     assert decomp.label_multiset() == dihedral_closed_form(n).label_multiset()
@@ -313,30 +437,50 @@ def conjugated(M, s):
 J3 = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=complex)
 
 
+def finite_order(d: int, s: int) -> list[np.ndarray]:
+    """Conjugated generators of finite order in dimension d: a reflection
+    and rotations of order 5 and 7 in the first coordinate plane."""
+    out = [conjugated(np.diag([1.0, -1.0] + [1.0] * (d - 2)), s)]
+    for k in (5, 7):
+        t = 2 * np.pi / k
+        rot = np.eye(d)
+        rot[:2, :2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+        out.append(conjugated(rot, s))
+    return out
+
+
+def rejects_everywhere(bad: np.ndarray, s: int) -> None:
+    """The precheck checks all generators as one stack: the bad generator
+    alone, and in each position among finite ones, raises."""
+    finite = finite_order(bad.shape[0], s)
+    for at in range(len(finite) + 1):
+        for gens in ([bad], finite[:at] + [bad] + finite[at:]):
+            with pytest.raises(GroupNotFiniteError):
+                _finite_order_precheck(gens)
+
+
 @pytest.mark.parametrize("J", [J2, J3], ids=["J2", "J3"])
 @pytest.mark.parametrize("s", range(4))
 def test_finite_order_precheck_rejects_conjugated_jordan_block(J, s):
     """Rounding splits the eigenvalue of S J S^-1 into nearly parallel
     eigenvectors (cond 4e7..6e8 for J2), below the conditioning gate; the
     repeated squares of the generator still outgrow the closure's bound."""
-    with pytest.raises(GroupNotFiniteError):
-        _finite_order_precheck([conjugated(J, s)])
+    rejects_everywhere(conjugated(J, s), s)
 
 
 @pytest.mark.parametrize("lam", [1 - 1e-7, 1 + 1e-7])
 def test_finite_order_precheck_rejects_eigenvalue_just_off_circle(lam):
     """|lam| - 1 = 1e-7 passes the unit-circle gate; the squares of the
     generator or of its inverse still outgrow the closure's bound."""
-    with pytest.raises(GroupNotFiniteError):
-        _finite_order_precheck([conjugated(np.diag([lam, -1.0]), 0)])
+    rejects_everywhere(conjugated(np.diag([lam, -1.0]), 0), 1)
 
 
 def test_finite_order_precheck_accepts_finite_order():
-    t = 2 * np.pi / 5
-    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
     for s in range(4):
-        _finite_order_precheck([conjugated(np.diag([1.0, -1.0]), s)])
-        _finite_order_precheck([conjugated(rot, s)])
+        for d in (2, 3):
+            for g in finite_order(d, s):
+                _finite_order_precheck([g])
+            _finite_order_precheck(finite_order(d, s))
     _finite_order_precheck(regular_rep(dihedral(12)).distinct_matrices())
 
 
