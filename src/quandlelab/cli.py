@@ -38,7 +38,7 @@ from .quandles import (
     orbits,
     trivial,
 )
-from .reps import decompose, regular_rep
+from .reps import INVARIANCE_TOL, decompose, regular_rep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = rep_sub.add_parser("decompose", help="decompose the regular representation")
     pd.add_argument("file")
     pd.add_argument("--closed-form", action="store_true")
-    pd.add_argument("--tol", type=float, default=1e-9)
+    pd.add_argument("--tol", type=float, default=INVARIANCE_TOL)
     pd.add_argument("--format", choices=["text", "json", "csv"], default="text")
     pd.add_argument("--matrices", action="store_true",
                     help="include part bases as [re, im] pair arrays (JSON)")

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidParamsError
 from .quandles import Quandle, conj_quandle, dihedral, orbits
 from .reps import (
-    CLUSTER_TOL,
+    INVARIANCE_TOL,
     Decomposition,
     EigenCluster,
     QuandleRep,
@@ -35,11 +35,13 @@ from .reps import (
 
 def orbit_rep(Q: Quandle, B, orbit_of: int = 1) -> QuandleRep:
     """The representation sending the orbit of one element to B and every
-    other element to the identity; valid for any invertible B."""
+    other element to the identity; valid for any invertible B.  B is
+    invertible by the rank cut at which `validate_rep` calls an image
+    singular, so every B it accepts passes `check_rep`."""
     B = np.asarray(B, dtype=complex)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise InvalidParamsError("B must be square")
-    if rank(B, 1e-12) < B.shape[0]:
+    if rank(B, INVARIANCE_TOL) < B.shape[0]:
         raise InvalidParamsError("B must be invertible")
     special = next(o for o in orbits(Q) if orbit_of % Q.order in o)
     d = B.shape[0]
@@ -78,10 +80,10 @@ class MultiplicityData:
                    [c.geometric for c in clusters])
 
 
-def multiplicity_data(B, tol: float = CLUSTER_TOL) -> MultiplicityData:
+def multiplicity_data(B) -> MultiplicityData:
     """Eigenvalues of B with their algebraic and geometric multiplicities,
     read from `jordan_clusters`."""
-    return MultiplicityData.from_clusters(jordan_clusters(np.asarray(B, dtype=complex), tol))
+    return MultiplicityData.from_clusters(jordan_clusters(np.asarray(B, dtype=complex)))
 
 
 @dataclass

@@ -27,7 +27,17 @@ from .fields import FieldTable
 from .presentation import PresentationContext
 from .quandles import Quandle
 from .reps import (
+    BASIS_RTOL,
+    CHAIN_ZERO_TOL,
     CLUSTER_TOL,
+    FULL_RANK_RTOL,
+    INVERTIBLE_RTOL,
+    LSQ_SINGULAR_DET,
+    PAIR_TOL,
+    POWER_TOL,
+    RIGIDITY_SEPARATION,
+    SOLUTION_TOL,
+    SOLVED_INVARIANCE_TOL,
     EigenCluster,
     QuandleRep,
     Subspace,
@@ -66,13 +76,13 @@ class JordanSpec:
             at += s
         return M
 
-    def power_maximal(self, k: int, tol: float = 1e-9) -> bool:
+    def power_maximal(self, k: int) -> bool:
         """True iff the k-th powers of the block eigenvalues are pairwise
         distinct, equivalently the minimal polynomial of the k-th power has
         full degree."""
         vals = [lam ** k for lam, _ in self.blocks]
         scale = max(1.0, max(abs(v) for v in vals))
-        return all(abs(vals[i] - vals[j]) > tol * scale
+        return all(abs(vals[i] - vals[j]) > POWER_TOL * scale
                    for i in range(len(vals)) for j in range(i + 1, len(vals)))
 
     @classmethod
@@ -91,22 +101,22 @@ class JordanSpec:
         if spec.dim != d:
             raise IllConditionedError(
                 f"Jordan structure of dimension {spec.dim} found in a {d}x{d} matrix")
-        if rank(np.hstack([c.kernels[-1] for c in clusters]), 1e-9) < d:
+        if rank(np.hstack([c.kernels[-1] for c in clusters]), FULL_RANK_RTOL) < d:
             raise IllConditionedError("generalized eigenspaces do not span the space")
         return spec
 
 
-def kth_power_maximal(A, k: int, tol: float = 1e-9) -> bool:
+def kth_power_maximal(A, k: int) -> bool:
     """Whether the Jordan eigenvalues of A have pairwise distinct k-th powers."""
     if k < 1:
         raise InvalidParamsError("power must be >= 1")
     spec = A if isinstance(A, JordanSpec) else JordanSpec.from_matrix(np.asarray(A))
-    if any(abs(lam) < tol for lam, _ in spec.blocks):
+    if any(abs(lam) < POWER_TOL for lam, _ in spec.blocks):
         raise InvalidParamsError("matrix must be invertible")
-    return spec.power_maximal(k, tol)
+    return spec.power_maximal(k)
 
 
-def common_eigenvector_2x2(A, B, tol: float = 1e-9) -> np.ndarray | None:
+def common_eigenvector_2x2(A, B) -> np.ndarray | None:
     """A common eigenvector of two 2x2 matrices, or None.
 
     Two 2x2 matrices share an eigenvector exactly when their commutator is
@@ -119,14 +129,14 @@ def common_eigenvector_2x2(A, B, tol: float = 1e-9) -> np.ndarray | None:
     if A.shape != (2, 2) or B.shape != (2, 2):
         raise InvalidParamsError("expected 2x2 matrices")
     scale = max(1.0, float(np.linalg.norm(A) * np.linalg.norm(B)))
-    K = kernel((A @ B - B @ A) / scale, tol)
+    K = kernel((A @ B - B @ A) / scale, PAIR_TOL)
     if K.shape[1] == 0:
         return None
     if K.shape[1] == 2:  # commuting pair
         v = None
         for M in (A, B):
             tr = np.trace(M) / 2
-            if np.linalg.norm(M - tr * np.eye(2)) > tol * scale:
+            if np.linalg.norm(M - tr * np.eye(2)) > PAIR_TOL * scale:
                 vals, vecs = np.linalg.eig(M)
                 v = vecs[:, 0]
                 break
@@ -138,16 +148,16 @@ def common_eigenvector_2x2(A, B, tol: float = 1e-9) -> np.ndarray | None:
     for M in (A, B):
         img = M @ v
         res = np.linalg.norm(img - (v.conj() @ img) * v)
-        if res > 1e-7 * scale:
+        if res > SOLVED_INVARIANCE_TOL * scale:
             raise VerificationFailureError(
                 f"commutator-kernel vector is not a common eigenvector (residual {res:.2e})")
     return v
 
 
-def _is_scalar(M: np.ndarray, tol: float) -> bool:
+def _is_scalar(M: np.ndarray) -> bool:
     d = M.shape[0]
     tr = np.trace(M) / d
-    return bool(np.linalg.norm(M - tr * np.eye(d)) <= tol * max(1.0, abs(tr) * d))
+    return bool(np.linalg.norm(M - tr * np.eye(d)) <= PAIR_TOL * max(1.0, abs(tr) * d))
 
 
 @dataclass
@@ -176,7 +186,7 @@ def _power_ladder(M: np.ndarray, n: int) -> np.ndarray:
     return P
 
 
-def analyze_2d_pair(F: FieldTable, alpha: int, A, B, tol: float = 1e-9) -> PairVerdict:
+def analyze_2d_pair(F: FieldTable, alpha: int, A, B) -> PairVerdict:
     """Validate candidate 2x2 generator images against the presentation and
     classify the pair: equal images give a constant representation, and a
     validated non-constant pair must have scalar (q-1)-th powers.  A
@@ -186,7 +196,7 @@ def analyze_2d_pair(F: FieldTable, alpha: int, A, B, tol: float = 1e-9) -> PairV
     B = np.asarray(B, dtype=complex)
     phi = PresentationContext(F, alpha).phi
     q = F.q
-    if rank(A, 1e-12) < 2 or rank(B, 1e-12) < 2:
+    if rank(A, INVERTIBLE_RTOL) < 2 or rank(B, INVERTIBLE_RTOL) < 2:
         return PairVerdict("invalid", violated="images must be invertible",
                            residual=float("inf"))
     scale = max(1.0, float(np.linalg.norm(A)), float(np.linalg.norm(B)))
@@ -214,12 +224,12 @@ def analyze_2d_pair(F: FieldTable, alpha: int, A, B, tol: float = 1e-9) -> PairV
 
     for name, (lhs, lnorm), (rhs, rnorm) in checks:
         res = float(np.linalg.norm(lhs - rhs) / max(lnorm, rnorm))
-        if res > tol:
+        if res > PAIR_TOL:
             return PairVerdict("invalid", violated=name, residual=res)
 
-    if np.linalg.norm(A - B) <= tol * scale:
+    if np.linalg.norm(A - B) <= PAIR_TOL * scale:
         return PairVerdict("constant")
-    if _is_scalar(PA[q - 1], tol) and _is_scalar(PB[q - 1], tol):
+    if _is_scalar(PA[q - 1]) and _is_scalar(PB[q - 1]):
         return PairVerdict("scalar_power")
     return PairVerdict("refutation", refutation=True, matrices=(A.copy(), B.copy()))
 
@@ -248,17 +258,15 @@ class ConstantRepDecomposition:
         return [p.size for p in self.parts]
 
 
-def jordan_chains(M: np.ndarray, lam: complex,
-                  tol: float = CLUSTER_TOL) -> list[list[np.ndarray]]:
+def jordan_chains(M: np.ndarray, lam: complex) -> list[list[np.ndarray]]:
     """Generalized eigenvector chains of M at lam, longest first; each chain
     is [top, A top, ..., A^(len-1) top] with A = M - lam I, ending on a true
     eigenvector."""
     A = M - lam * np.eye(M.shape[0])
-    return _chains(A, _power_kernels(A, tol), tol)
+    return _chains(A, _power_kernels(A, CLUSTER_TOL))
 
 
-def _chains(A: np.ndarray, kernels: list[np.ndarray],
-            tol: float) -> list[list[np.ndarray]]:
+def _chains(A: np.ndarray, kernels: list[np.ndarray]) -> list[list[np.ndarray]]:
     """Jordan chains of A from its kernel chain ker A^j, as in
     `jordan_chains`."""
     d = A.shape[0]
@@ -271,9 +279,9 @@ def _chains(A: np.ndarray, kernels: list[np.ndarray],
         need = geq[j - 1] - (geq[j] if j < mmax else 0)
         if need > 0:
             Obs = np.hstack([kernels[j - 1]] + [c.reshape(-1, 1) for c in carried])
-            Qo = Subspace.from_span(Obs, 1e-10).basis
+            Qo = Subspace.from_span(Obs, BASIS_RTOL).basis
             Pfree = np.eye(d) - Qo @ Qo.conj().T
-            tops = Subspace.from_span(Pfree @ kernels[j], tol).basis
+            tops = Subspace.from_span(Pfree @ kernels[j], CLUSTER_TOL).basis
             if need > tops.shape[1]:
                 raise IllConditionedError("could not separate Jordan chain tops")
             for i in range(need):
@@ -284,12 +292,12 @@ def _chains(A: np.ndarray, kernels: list[np.ndarray],
         # descendants of every longer chain at the next level down
         carried = [A @ c for c in carried] + [A @ ch[0] for ch in chains
                                               if len(ch) == j]
-        carried = [c / np.linalg.norm(c) for c in carried if np.linalg.norm(c) > 1e-12]
+        carried = [c / np.linalg.norm(c) for c in carried
+                   if np.linalg.norm(c) > CHAIN_ZERO_TOL]
     return chains
 
 
-def constant_rep_decompose(M, Q: Quandle,
-                           tol: float = CLUSTER_TOL) -> ConstantRepDecomposition:
+def constant_rep_decompose(M, Q: Quandle) -> ConstantRepDecomposition:
     """Decompose the constant representation x -> M into one indecomposable
     part per Jordan block.
 
@@ -300,28 +308,28 @@ def constant_rep_decompose(M, Q: Quandle,
     the absence of an invariant complement for it."""
     M = np.asarray(M, dtype=complex)
     d = M.shape[0]
-    if rank(M, 1e-12) < d:
+    if rank(M, INVERTIBLE_RTOL) < d:
         raise IllConditionedError("matrix is singular or too ill-conditioned")
-    clusters = jordan_clusters(M, tol)
+    clusters = jordan_clusters(M)
     spec = JordanSpec.from_clusters(clusters, d)
     parts: list[JordanPart] = []
     all_vecs: list[np.ndarray] = []
     for c in clusters:
-        for chain in _chains(M - c.lam * np.eye(d), c.kernels, tol):
+        for chain in _chains(M - c.lam * np.eye(d), c.kernels):
             sub = Subspace.from_span(np.column_stack(chain))
             if sub.dim != len(chain):
                 raise IllConditionedError("Jordan chain is numerically degenerate")
             eig = chain[-1] / np.linalg.norm(chain[-1])
             parts.append(JordanPart(c.lam, len(chain), sub, eig))
             all_vecs.extend(chain)
-    if rank(np.column_stack(all_vecs), 1e-9) != d:
+    if rank(np.column_stack(all_vecs), FULL_RANK_RTOL) != d:
         raise IllConditionedError("Jordan chains do not form a basis")
 
     rep = QuandleRep(Q, np.broadcast_to(M, (Q.order, d, d)).copy())
     for part in parts:
         if part.size > 1:
             nilpotent = part.subspace.restrict(M) - part.eigenvalue * np.eye(part.size)
-            if kernel(nilpotent, 1e-8).shape[1] != 1:
+            if kernel(nilpotent, CLUSTER_TOL).shape[1] != 1:
                 raise VerificationFailureError("block does not have a unique invariant line")
             line = Subspace.from_span(part.invariant_line.reshape(-1, 1))
             part.has_invariant_complement = (
@@ -352,10 +360,10 @@ class RigidityReport:
 
     @property
     def offside_solutions(self) -> int:
-        """Restarts that ended away from J on a solution (residual < 1e-6);
-        with a planted second generator, this over `restarts` is the
-        search's recall."""
-        return sum(r < 1e-6 for r, _ in self.candidates)
+        """Restarts that ended away from J on a solution (residual below
+        SOLUTION_TOL); with a planted second generator, this over
+        `restarts` is the search's recall."""
+        return sum(r < SOLUTION_TOL for r, _ in self.candidates)
 
     @property
     def found_counterexample(self) -> bool:
@@ -426,21 +434,21 @@ def _relation_jacobian(J: np.ndarray, Jpow, q: int,
 
 
 def rigidity_check(spec: JordanSpec, F: FieldTable, alpha: int,
-                   restarts: int = 200, seed: int = 0,
-                   separation: float = 1e-3) -> RigidityReport:
+                   restarts: int = 200, seed: int = 0) -> RigidityReport:
     """Search for M != J satisfying the relations that force M = J.
 
     J comes from the given Jordan structure and must be (q-1)-th power
     maximal.  Seeded random starts at several distances from J are refined
     by least squares (Levenberg-Marquardt with the analytic Jacobian of
     `_relation_jacobian`) on the stacked relation residuals; refined points
-    that stay separated from J are recorded with their residual.  An empty
-    or high-residual candidate list supports uniqueness; a candidate below
-    1e-6 would be a counterexample worth inspecting.
+    further than RIGIDITY_SEPARATION * (1 + |J|) from J are recorded with
+    their residual.  An empty or high-residual candidate list supports
+    uniqueness; a candidate below SOLUTION_TOL would be a counterexample
+    worth inspecting.
     """
     if not spec.power_maximal(F.q - 1):
         raise InvalidParamsError("J must be (q-1)-th power maximal")
-    return _rigidity_search(spec.matrix(), F, alpha, restarts, seed, separation)
+    return _rigidity_search(spec.matrix(), F, alpha, restarts, seed, RIGIDITY_SEPARATION)
 
 
 def _rigidity_search(J: np.ndarray, F: FieldTable, alpha: int, restarts: int,
@@ -461,7 +469,7 @@ def _rigidity_search(J: np.ndarray, F: FieldTable, alpha: int, restarts: int,
         return (re + 1j * im).reshape(d, d)
 
     def singular(M):
-        return abs(np.linalg.det(M)) < 1e-9
+        return abs(np.linalg.det(M)) < LSQ_SINGULAR_DET
 
     # least squares evaluates the Jacobian at the point of the last residual,
     # so one ladder per point serves both

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import InvalidParamsError, VerificationFailureError
 from .quandles import Quandle, compose, dihedral, perm_order
 from .reps import (
+    INTEGRAL_TOL,
+    INVARIANCE_TOL,
+    LABEL_TOL,
     Decomposition,
     Part,
     QuandleRep,
@@ -72,8 +75,7 @@ def _rotation_order(Q: Quandle) -> int:
     return perm_order(compose(Q.translation(2), Q.translation(1)))
 
 
-def label_part(rep: QuandleRep, sub: Subspace, r: int | None = None,
-               tol: float = 1e-6) -> IrrepLabel:
+def label_part(rep: QuandleRep, sub: Subspace, r: int | None = None) -> IrrepLabel:
     """Identify the irreducible class of an invariant subspace.
 
     One-dimensional parts read the scalars of R_1 and R_2 directly.  For a
@@ -91,9 +93,10 @@ def label_part(rep: QuandleRep, sub: Subspace, r: int | None = None,
     G2 = sub.restrict(rep.mat(2))
     if k == 1:
         lam, mu = complex(G1[0, 0]), complex(G2[0, 0])
-        if min(abs(lam - 1), abs(lam + 1)) > tol or min(abs(mu - 1), abs(mu + 1)) > tol:
+        if (min(abs(lam - 1), abs(lam + 1)) > LABEL_TOL
+                or min(abs(mu - 1), abs(mu + 1)) > LABEL_TOL):
             return opaque(1)
-        return C(1 if abs(lam - 1) < tol else -1, 1 if abs(mu - 1) < tol else -1)
+        return C(1 if abs(lam - 1) < LABEL_TOL else -1, 1 if abs(mu - 1) < LABEL_TOL else -1)
     if k != 2:
         return opaque(k)
     if r is None:
@@ -103,22 +106,22 @@ def label_part(rep: QuandleRep, sub: Subspace, r: int | None = None,
     u = vecs[:, 0]
     v = G1 @ u
     P = np.column_stack([u, v])
-    if rank(P, tol) < 2:
+    if rank(P, LABEL_TOL) < 2:
         return opaque(2)
     Pinv = np.linalg.inv(P)
     swap = np.array([[0, 1], [1, 0]])
     R1 = Pinv @ G1 @ P
     R2 = Pinv @ G2 @ P
-    if np.linalg.norm(R1 - swap) > tol:
+    if np.linalg.norm(R1 - swap) > LABEL_TOL:
         return opaque(2)
     w = complex(R2[0, 1])
-    if abs(abs(w) - 1) > tol:
+    if abs(abs(w) - 1) > LABEL_TOL:
         return opaque(2)
     expected = np.array([[0, w], [1 / w, 0]])
-    if np.linalg.norm(R2 - expected) > tol:
+    if np.linalg.norm(R2 - expected) > LABEL_TOL:
         return opaque(2)
     s = round(r * cmath.phase(w) / (2 * cmath.pi)) % r
-    if abs(w - cmath.exp(2j * cmath.pi * s / r)) > tol:
+    if abs(w - cmath.exp(2j * cmath.pi * s / r)) > LABEL_TOL:
         return opaque(2)
     return W(r, s)
 
@@ -137,7 +140,7 @@ def _difference(n: int, i: int, j: int) -> np.ndarray:
     return v
 
 
-def dihedral_closed_form(n: int, tol: float = 1e-9) -> Decomposition:
+def dihedral_closed_form(n: int, tol: float = INVARIANCE_TOL) -> Decomposition:
     """Explicit irreducible decomposition of the regular representation of
     the dihedral quandle on Z_n, built from root-of-unity coefficient
     vectors over the orbit difference bases and verified part by part."""
@@ -247,7 +250,7 @@ def matrix_forms(n: int, basis: str) -> MatrixForms:
     for t in ops:
         X, *_ = np.linalg.lstsq(B, rep.mat(t) @ B, rcond=None)
         Xi = np.rint(X.real).astype(int)
-        if np.linalg.norm(X - Xi) > 1e-9:
+        if np.linalg.norm(X - Xi) > INTEGRAL_TOL:
             raise VerificationFailureError("translation is not integral in this basis")
         mats.append(Xi)
 

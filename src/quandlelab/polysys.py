@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvalidParamsError, NotInvolutionError
 from .fields import FieldTable, prime_factors
 from .presentation import PresentationContext
@@ -138,7 +140,7 @@ class LogInvolution:
     fixed_points: tuple[int, ...]
 
     def pair_representatives(self) -> list[int]:
-        return sorted(k for k in range(1, self.q - 1) if k <= self.phi[k])
+        return [k for k in range(1, self.q - 1) if k <= self.phi[k]]
 
 
 def log_involution(F: FieldTable, alpha: int) -> LogInvolution:
@@ -149,10 +151,14 @@ def log_involution(F: FieldTable, alpha: int) -> LogInvolution:
     ctx = PresentationContext(F, alpha)
     m = F.q - 1
     phi = ctx.phi
-    for k in range(1, m):
-        if not 1 <= phi[k] <= m - 1 or phi[phi[k]] != k:
-            raise NotInvolutionError(f"k={k}: phi(phi(k)) = {phi[phi[k]]} != k")
-    fixed = tuple(k for k in range(1, m) if phi[k] == k)
+    table = np.array(phi)
+    ks, image = np.arange(1, m), table[1:]
+    bad = (image < 1) | (image > m - 1)
+    bad |= table[np.where(bad, 0, image)] != ks    # phi(phi(k)) where in range
+    if bad.any():
+        k = int(np.argmax(bad)) + 1
+        raise NotInvolutionError(f"k={k}: phi(phi(k)) = {phi[phi[k]]} != k")
+    fixed = tuple(ks[image == ks].tolist())
     if F.p == 2:
         if fixed:
             raise NotInvolutionError("characteristic two admits no fixed point")
@@ -235,8 +241,11 @@ def system_has_no_solution(inv: LogInvolution, method: str = "auto") -> Certific
         cert.method = "fixed-point-anchor"
         cert.steps.append(GcdStep(f"P_{N} = 2x^{N}-1", N, "irreducible (Eisenstein)"))
         cert.final_degree = N
-        for k in sorted(inv.pair_representatives(), key=lambda k: max(k, inv.phi[k])):
-            if k == N:
+        # the representatives k <= phi(k) in ascending order of the degree
+        # phi(k), read off the involution as k = phi(top) for each top
+        for top in range(1, inv.q - 1):
+            k = inv.phi[top]
+            if k > top or k == N:
                 continue
             residue = _reduce_mod_fixed(inv, k, N)
             if residue:

@@ -23,10 +23,11 @@ once and keeps it, which is why its matrices are read-only.
 
 Every numerical rank in the library (kernels, spans, ranks and the
 invertibility gates) reads one rule on `np.linalg.svd`, `_rank_cut`: keep
-the singular values s > rtol * max(s_0, 1), s_0 the largest; each call site
-picks rtol.  Being relative, it counts an invertible image whose condition
-number exceeds 1/rtol as singular.  scipy is imported only inside the
-least-squares search behind `cyclic_reps.rigidity_check`.
+the singular values s > rtol * max(s_0, 1), s_0 the largest, with rtol
+the constant of its role in the tolerance policy below.  Being relative,
+it counts an invertible image whose condition number exceeds 1/rtol as
+singular.  scipy is imported only inside the least-squares search behind
+`cyclic_reps.rigidity_check`.
 """
 
 from __future__ import annotations
@@ -46,8 +47,36 @@ from .errors import (
 )
 from .quandles import Quandle, generating_set, perm_closure
 
-INVARIANCE_TOL = 1e-9
-CLUSTER_TOL = 1e-8
+# -- tolerance policy --
+# Every numerical threshold of the library, named once by the decision it gates; a
+# test fails on a float literal with a negative exponent anywhere else in the
+# package.  An RTOL is a rank cut read by `_rank_cut`.
+INVARIANCE_TOL = 1e-9         # invariance and conjugation-law residuals; singular-image cut
+SOLVED_INVARIANCE_TOL = 1e-7  # invariance of W and of a solved complement or common eigenvector
+COMPLEMENT_LSQ_TOL = 1e-8     # relative least-squares residual at which a complement exists
+PAIR_TOL = 1e-9               # 2x2 pairs: relation backward errors; equal, scalar, commuting
+CLUSTER_TOL = 1e-8            # eigenvalue clustering radius; the Jordan reading's kernel cuts
+CHARACTER_TOL = 1e-8          # distance of a character norm from its integer
+POWER_TOL = 1e-9              # relative gap of distinct k-th powers; modulus of a zero eigenvalue
+UNIT_CIRCLE_TOL = 1e-6        # ||lam| - 1| that rules out a generator of finite order
+FULL_RANK_RTOL = 1e-9         # stacked bases (parts, chains, eigenspaces) span the space
+INVERTIBLE_RTOL = 1e-12       # a 2x2 generator image or a constant-rep matrix is invertible
+BASIS_RTOL = 1e-10            # an orthonormal basis read off a span or a kernel
+EIGENBASIS_RTOL = 1e-10       # a finite-order generator's eigenvector matrix has full rank
+COMMUTANT_RTOL = 1e-8         # rank of the stacked Sylvester operator of `commutant_dimension`
+PERMUTATION_TOL = 1e-12       # entrywise distance of an image from a permutation matrix
+DISTINCT_TOL = 1e-9           # entrywise distance at which two images are one
+CLOSURE_TOL = 1e-7            # entrywise distance at which two closure products are one
+UNITARY_TOL = 1e-9            # |g^H g - I| below which a finite group is used as it is
+CLOSURE_CAP = 10 ** 6         # elements before the closure of `matrix_group` gives up
+NORM_GROWTH = 1e6             # products past this times the largest generator norm: infinite
+INTEGRAL_TOL = 1e-9           # a translation's matrix in a difference basis is integral
+LABEL_TOL = 1e-6              # `label_part` reads scalars, generator forms and roots of unity
+CHAIN_ZERO_TOL = 1e-12        # norm at which a carried Jordan-chain vector has left the chain
+LSQ_SINGULAR_DET = 1e-9       # |det M| below which the rigidity search penalises M
+SOLUTION_TOL = 1e-6           # relation residual of a rigidity-search solution
+RIGIDITY_SEPARATION = 1e-3    # M within this times (1 + |J|) of J has converged to J
+# -- end of tolerance policy --
 
 
 def _rank_cut(s: np.ndarray, rtol: float) -> int:
@@ -228,14 +257,15 @@ class QuandleRep:
     def permutation_form(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(perms, inverse), the (order, dim) index arrays with
         rho(x) e_j = e_{perms[x, j]} and their inverse permutations, when
-        every image is within 1e-12 of a permutation matrix; else None.
+        every image is within PERMUTATION_TOL of a permutation matrix; else
+        None.
         Found on the first call and kept."""
         if self._perm_form is False:
-            self._perm_form = _permutation_form(self.matrices, 1e-12)
+            self._perm_form = _permutation_form(self.matrices, PERMUTATION_TOL)
         return self._perm_form
 
     def distinct_matrices(self) -> list[np.ndarray]:
-        seen = _MatrixSet(self.matrices.shape[1:], 1e-9)
+        seen = _MatrixSet(self.matrices.shape[1:], DISTINCT_TOL)
         for m in self.matrices:
             seen.add(m)
         return seen.elements
@@ -252,27 +282,28 @@ class RepCheck:
 
 
 def validate_rep(Q: Quandle, matrices, tol: float = INVARIANCE_TOL) -> RepCheck:
-    """Report conjugation-law residuals and singular images without raising."""
+    """Report conjugation-law residuals and singular images without raising:
+    the residuals || rho(x > y) - rho(y) rho(x) rho(y)^-1 ||_F above tol as
+    (x, y, residual), y-major, taken for all x at once for each invertible
+    rho(y); an image is singular when `rank(rho(x), tol)` falls short."""
     mats = _as_matrix_stack(Q, matrices)
     singular = [x for x in range(Q.order) if rank(mats[x], tol) < mats.shape[1]]
     violations = []
-    inv = [None if x in singular else np.linalg.inv(mats[x]) for x in range(Q.order)]
     for y in range(Q.order):
-        if inv[y] is None:
+        if y in singular:
             continue
-        for x in range(Q.order):
-            lhs = mats[Q.op(x, y)]
-            rhs = mats[y] @ mats[x] @ inv[y]
-            res = float(np.linalg.norm(lhs - rhs))
-            if res > tol:
-                violations.append((x, y, res))
+        diff = mats[y] @ mats @ np.linalg.inv(mats[y])
+        diff -= mats[Q.table[:, y]]
+        parts = diff.reshape(len(mats), -1).view(np.float64)    # re, im interleaved
+        res = np.sqrt(np.einsum("ij,ij->i", parts, parts))      # Frobenius norms
+        violations.extend((int(x), y, float(res[x])) for x in np.flatnonzero(res > tol))
     return RepCheck(ok=not singular and not violations,
                     violations=violations, singular=singular)
 
 
-def check_rep(Q: Quandle, matrices, tol: float = INVARIANCE_TOL) -> QuandleRep:
+def check_rep(Q: Quandle, matrices) -> QuandleRep:
     """Validate and wrap; raises with the violating pairs on failure."""
-    report = validate_rep(Q, matrices, tol)
+    report = validate_rep(Q, matrices)
     if report.singular:
         raise SingularMatrixError(f"singular image at elements {report.singular}")
     if report.violations:
@@ -326,7 +357,7 @@ class Subspace:
     basis: np.ndarray  # (d, k), basis^H basis = I
 
     @classmethod
-    def from_span(cls, columns, tol: float = 1e-10) -> "Subspace":
+    def from_span(cls, columns, tol: float = BASIS_RTOL) -> "Subspace":
         cols = np.atleast_2d(np.asarray(columns, dtype=complex))
         if cols.shape[0] == 1 and cols.shape[1] > 1:
             cols = cols.T
@@ -378,7 +409,7 @@ def augmentation_split(rep: QuandleRep) -> tuple[Subspace, Subspace]:
         raise InvalidParamsError("augmentation split needs a permutation representation")
     d = rep.dim
     ones = Subspace(np.full((d, 1), 1 / np.sqrt(d), dtype=complex))
-    comp = Subspace(kernel(np.ones((1, d)), 1e-10).astype(complex))
+    comp = Subspace(kernel(np.ones((1, d)), BASIS_RTOL).astype(complex))
     return ones, comp
 
 
@@ -397,12 +428,12 @@ def _finite_order_precheck(gens: list[np.ndarray]) -> float:
     into nearly parallel eigenvectors, long before any closure cap.  All
     generators are checked at once, as one stack."""
     G = np.asarray(gens)
-    norm_bound = 1e6 * float(np.max(np.linalg.norm(G, axis=(1, 2))))
+    norm_bound = NORM_GROWTH * float(np.max(np.linalg.norm(G, axis=(1, 2))))
     vals, vecs = np.linalg.eig(G)
-    if np.max(np.abs(np.abs(vals) - 1)) > 1e-6:
+    if np.max(np.abs(np.abs(vals) - 1)) > UNIT_CIRCLE_TOL:
         raise GroupNotFiniteError("a generator has an eigenvalue off the unit circle")
     d = G.shape[1]
-    if any(_rank_cut(s, 1e-10) < d for s in np.linalg.svd(vecs, compute_uv=False)):
+    if any(_rank_cut(s, EIGENBASIS_RTOL) < d for s in np.linalg.svd(vecs, compute_uv=False)):
         raise GroupNotFiniteError("a generator is not diagonalizable")
     powers = np.concatenate([G, np.linalg.inv(G)])
     for _ in range(40):
@@ -412,7 +443,7 @@ def _finite_order_precheck(gens: list[np.ndarray]) -> float:
     return norm_bound
 
 
-def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> np.ndarray:
+def matrix_group(rep: QuandleRep) -> np.ndarray:
     """The group generated by the images, as an ndarray.
 
     For a permutation representation it is the (|G|, d) intp array of the
@@ -422,25 +453,26 @@ def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> np.ndarray:
     rho(x > y) = rho(y) rho(x) rho(y)^{-1}, and any image left outside
     their closure is adjoined before closing again, so the result is the
     group of all images for any input.  Otherwise it is the (|G|, d, d)
-    stack of the matrix closure, whose elements are told apart within 1e-7
-    (`_MatrixSet`).  Raises GroupNotFiniteError when the cap is hit.
+    stack of the matrix closure, whose elements are told apart within
+    CLOSURE_TOL (`_MatrixSet`).  Raises GroupNotFiniteError past CLOSURE_CAP
+    elements.
     """
     form = rep.permutation_form()
     if form is not None:
         perms = form[0]
         gens = sorted({tuple(perms[x].tolist()) for x in generating_set(rep.quandle)})
         try:
-            closed = perm_closure(gens, cap)
+            closed = perm_closure(gens, CLOSURE_CAP)
             outside = sorted(set(map(tuple, perms.tolist())).difference(closed))
             if outside:
-                closed = perm_closure(gens + outside, cap)
+                closed = perm_closure(gens + outside, CLOSURE_CAP)
         except ClosureBudgetError as exc:
             raise GroupNotFiniteError(str(exc)) from exc
         return np.array(closed, dtype=np.intp).reshape(len(closed), rep.dim)
 
     gens = np.array(rep.distinct_matrices())
     norm_bound = _finite_order_precheck(gens)
-    elements = _MatrixSet(gens.shape[1:], 1e-7)
+    elements = _MatrixSet(gens.shape[1:], CLOSURE_TOL)
     elements.add(np.eye(rep.dim, dtype=complex))
     queue = [elements.elements[0]]
     while queue:
@@ -449,20 +481,20 @@ def matrix_group(rep: QuandleRep, cap: int = 10 ** 6) -> np.ndarray:
             raise GroupNotFiniteError("matrix products grow without bound")
         for gh in products:
             if elements.add(gh):
-                if len(elements.elements) > cap:
-                    raise GroupNotFiniteError(f"matrix closure exceeded cap {cap}")
+                if len(elements.elements) > CLOSURE_CAP:
+                    raise GroupNotFiniteError(f"matrix closure exceeded cap {CLOSURE_CAP}")
                 queue.append(gh)
     return np.array(elements.elements)
 
 
-def commutant_dimension(mats: list[np.ndarray], tol: float = 1e-8) -> int:
+def commutant_dimension(mats: list[np.ndarray]) -> int:
     """Dimension of {X : XM = MX for all M}, the kernel of the stacked
     Sylvester operators.  `decompose` and `is_irreducible` certify through
     `character_norm` instead, which needs no (len(mats) k^2) x k^2 SVD."""
     k = mats[0].shape[0]
     I = np.eye(k)
     A = np.vstack([np.kron(m, I) - np.kron(I, m.T) for m in mats])
-    return k * k - rank(A, tol)
+    return k * k - rank(A, COMMUTANT_RTOL)
 
 
 def _character_value(group: np.ndarray, basis: np.ndarray) -> float:
@@ -477,8 +509,7 @@ def _character_value(group: np.ndarray, basis: np.ndarray) -> float:
     return float(np.sum(np.abs(traces) ** 2)) / len(group)
 
 
-def character_norm(group: np.ndarray, basis: np.ndarray,
-                   tol: float = CLUSTER_TOL) -> int:
+def character_norm(group: np.ndarray, basis: np.ndarray) -> int:
     """<chi_W, chi_W> = (1/|G|) sum_g |tr(B^H g B)|^2 for the span W of the
     orthonormal columns B, an invariant subspace of the finite group G
     given as `matrix_group` returns it: a (|G|, d) index array of
@@ -487,10 +518,10 @@ def character_norm(group: np.ndarray, basis: np.ndarray,
     dim End_G(W) (Serre, Linear Representations of Finite Groups, 2.3
     Thm 5): 1 exactly when W is irreducible, and the orbital count when W
     is the whole space of a permutation representation.  A value further
-    than tol from an integer raises ToleranceFailureError."""
+    than CHARACTER_TOL from an integer raises ToleranceFailureError."""
     value = _character_value(group, basis)
     norm = round(value)
-    if abs(value - norm) > tol:
+    if abs(value - norm) > CHARACTER_TOL:
         raise ToleranceFailureError(f"character norm {value!r} is not an integer")
     return norm
 
@@ -542,9 +573,8 @@ def _sorted_parts(parts: list[Part]) -> list[Part]:
     return sorted(parts, key=keyfn)
 
 
-def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
-              cluster_tol: float = CLUSTER_TOL, seed: int = 0,
-              cap: int = 10 ** 6, label: bool = True) -> Decomposition:
+def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL, seed: int = 0,
+              label: bool = True) -> Decomposition:
     """Split a representation into irreducible invariant subspaces.
 
     When the image matrices generate a finite group G, a random Hermitian
@@ -558,7 +588,7 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
     do not exhaust the space.
     """
     try:
-        G = matrix_group(rep, cap)
+        G = matrix_group(rep)
     except GroupNotFiniteError:
         return _decompose_infinite(rep, tol)
 
@@ -570,7 +600,7 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
         # matrix over the group and conjugate by its square root
         # V sqrt(w) V^H, the average being Hermitian positive definite
         gram = G.conj().transpose(0, 2, 1) @ G
-        if not np.allclose(gram, np.eye(rep.dim), atol=1e-9):
+        if not np.allclose(gram, np.eye(rep.dim), atol=UNITARY_TOL):
             w, V = np.linalg.eigh(gram.mean(axis=0))
             T = (V * np.sqrt(w)) @ V.conj().T
             Tinv = np.linalg.inv(T)
@@ -602,7 +632,7 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
             avg = average(H)
             avg = (avg + avg.conj().T) / 2
             vals, vecs = np.linalg.eigh(avg)
-            clusters = cluster(vals, cluster_tol)
+            clusters = cluster(vals)
             if len(clusters) > 1:
                 for idx in clusters:
                     q, _ = np.linalg.qr(vecs[:, idx])
@@ -616,7 +646,7 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL,
         parts = [Part(Subspace.from_span(back @ p.subspace.basis),
                       irreducible=p.irreducible) for p in parts]
         stacked = np.hstack([p.subspace.basis for p in parts])
-        if rank(stacked, 1e-9) != rep.dim:
+        if rank(stacked, FULL_RANK_RTOL) != rep.dim:
             raise ToleranceFailureError("transformed parts do not span the space")
     parts = _sorted_parts(parts)
     for p in parts:
@@ -645,9 +675,9 @@ def _common_eigen_lines(mats: list[np.ndarray],
                     > tol * scale:
                 vals = np.linalg.eigvals(r)
                 lines: list[np.ndarray] = []
-                for idx in cluster(vals, CLUSTER_TOL):
+                for idx in cluster(vals):
                     lam = vals[idx].mean()
-                    eigbasis = kernel(r - lam * np.eye(r.shape[0]), 1e-10)
+                    eigbasis = kernel(r - lam * np.eye(r.shape[0]), BASIS_RTOL)
                     sub = basis @ eigbasis
                     q, _ = np.linalg.qr(sub)
                     lines.extend(recurse(q, remaining[i + 1:] + remaining[:i]))
@@ -666,7 +696,7 @@ def _decompose_infinite(rep: QuandleRep, tol: float) -> Decomposition:
     span = np.zeros((rep.dim, 0), dtype=complex)
     for v in lines:
         cand = np.hstack([span, v.reshape(-1, 1)])
-        if rank(cand, 1e-9) == cand.shape[1]:
+        if rank(cand, FULL_RANK_RTOL) == cand.shape[1]:
             span = cand
             parts.append(Part(Subspace.from_span(v.reshape(-1, 1)),
                               label=opaque(1), irreducible=True))
@@ -676,8 +706,7 @@ def _decompose_infinite(rep: QuandleRep, tol: float) -> Decomposition:
                          residual_dim=rep.dim - covered)
 
 
-def is_irreducible(rep: QuandleRep, subspace: Subspace,
-                   cap: int = 10 ** 6, tol: float = CLUSTER_TOL) -> bool:
+def is_irreducible(rep: QuandleRep, subspace: Subspace) -> bool:
     """Schur certificate on an invariant subspace: the character norm of
     the restricted image group, which must be finite, is one.  A subspace
     whose invariance residual exceeds INVARIANCE_TOL raises
@@ -687,12 +716,10 @@ def is_irreducible(rep: QuandleRep, subspace: Subspace,
         raise InvalidParamsError(f"subspace is not invariant (residual {res:.2e})")
     B = subspace.basis
     restricted = QuandleRep(rep.quandle, _restrict(_images(rep), B))
-    group = matrix_group(restricted, cap)
-    return character_norm(group, np.eye(subspace.dim), tol) == 1
+    return character_norm(matrix_group(restricted), np.eye(subspace.dim)) == 1
 
 
-def invariant_complement_exists(rep: QuandleRep, W: Subspace,
-                                tol: float = 1e-8) -> Subspace | None:
+def invariant_complement_exists(rep: QuandleRep, W: Subspace) -> Subspace | None:
     """Find an invariant complement of the invariant subspace W, or None.
 
     Candidate complements are graphs {u + T u} of linear maps T from a
@@ -701,13 +728,13 @@ def invariant_complement_exists(rep: QuandleRep, W: Subspace,
     squares system.
     """
     res = invariance_residual(rep, W)
-    if res > 1e-7:
+    if res > SOLVED_INVARIANCE_TOL:
         raise InvalidParamsError(f"W is not invariant (residual {res:.2e})")
     d = rep.dim
     k = W.dim
     if k == d:
         return None
-    BW, BU = W.basis, kernel(W.basis.conj().T, 1e-10)   # BU: orthonormal complement U0
+    BW, BU = W.basis, kernel(W.basis.conj().T, BASIS_RTOL)   # BU: orthonormal complement U0
     m = BU.shape[1]
     Ik, Im = np.eye(k), np.eye(m)
     blocks, rhs = [], []
@@ -720,14 +747,14 @@ def invariant_complement_exists(rep: QuandleRep, W: Subspace,
     Amat = np.vstack(blocks)
     bvec = np.concatenate(rhs)
     sol, *_ = np.linalg.lstsq(Amat, bvec, rcond=None)
-    if np.linalg.norm(Amat @ sol - bvec) > tol * max(1.0, np.linalg.norm(bvec)):
+    if np.linalg.norm(Amat @ sol - bvec) > COMPLEMENT_LSQ_TOL * max(1.0, np.linalg.norm(bvec)):
         return None
     T = sol.reshape(k, m)
     comp = Subspace.from_span(BU + BW @ T)
     if comp.dim != m:
         return None
-    if invariance_residual(rep, comp) > 1e-7:
+    if invariance_residual(rep, comp) > SOLVED_INVARIANCE_TOL:
         return None
-    if rank(np.hstack([W.basis, comp.basis]), 1e-9) != d:
+    if rank(np.hstack([W.basis, comp.basis]), FULL_RANK_RTOL) != d:
         return None
     return comp

@@ -30,6 +30,16 @@ def test_orbit_rep_rejects_singular():
         orbit_rep(dihedral(4), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("small", [2e-10, 1e-11, 2e-12])
+def test_orbit_rep_gate_is_the_singular_image_cut(small):
+    """orbit_rep refuses, as a parameter, every B whose condition number
+    passes 1/INVARIANCE_TOL, the cut at which check_rep would call the
+    image singular; a B just inside the cut is accepted and valid."""
+    with pytest.raises(InvalidParamsError, match="B must be invertible"):
+        orbit_rep(dihedral(6), np.diag([1, small]))
+    assert orbit_rep(dihedral(6), np.diag([1, 2e-9])).dim == 2
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_orbit_rep_invertibility_is_a_rank_cut(d):
     for c in (0.01, 0.05):

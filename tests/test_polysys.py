@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from quandlelab.errors import InvalidParamsError
+from quandlelab import polysys
+from quandlelab.errors import InvalidParamsError, NotInvolutionError
 from quandlelab.fields import build_field_q, primitive_elements
 from quandlelab.polysys import (
     int_poly_gcd,
@@ -46,6 +48,38 @@ def test_fixed_point_is_minus_log_two(q):
         from quandlelab.fields import discrete_log
 
         assert inv.fixed_points == ((-discrete_log(F, a, two)) % m,)
+
+
+def _first_non_involution(phi, m):
+    """The per-k check that log_involution's mask replaced: the message
+    for the first k where phi leaves 1..m-1 or phi(phi(k)) != k."""
+    for k in range(1, m):
+        if not 1 <= phi[k] <= m - 1 or phi[phi[k]] != k:
+            return f"k={k}: phi(phi(k)) = {phi[phi[k]]} != k"
+    return None
+
+
+@pytest.mark.parametrize("q", [5, 8, 13, 27])
+def test_involution_check_names_the_first_failing_k(q, monkeypatch):
+    """Corrupted tables (entries overwritten with values in 0..q-2, 0
+    being out of range) raise the message of the per-k loop."""
+    F = build_field_q(q)
+    rng = np.random.default_rng(q)
+    real = polysys.PresentationContext
+    for trial in range(30):
+        ctx = real(F, primitive_elements(F)[0])
+        phi = list(ctx.phi)
+        for k in rng.integers(1, q - 1, 1 + trial % 3):
+            phi[k] = int(rng.integers(0, q - 1))
+        ctx.phi = tuple(phi)
+        expected = _first_non_involution(ctx.phi, q - 1)
+        monkeypatch.setattr(polysys, "PresentationContext", lambda F, a, ctx=ctx: ctx)
+        if expected is None:
+            log_involution(F, ctx.alpha)
+        else:
+            with pytest.raises(NotInvolutionError) as exc:
+                log_involution(F, ctx.alpha)
+            assert str(exc.value) == expected
 
 
 def test_involution_rejects_tiny_fields():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,40 @@ def test_images_past_the_condition_cut_are_singular():
     mats = np.array([np.diag([1e5, 1e-5])] * 3)
     assert validate_rep(dihedral(3), mats).singular == [0, 1, 2]
     assert validate_rep(dihedral(3), mats, tol=1e-11).singular == []
+
+
+def _pairwise_report(Q, mats, tol=INVARIANCE_TOL):
+    """validate_rep as one pair at a time, y-major: the reference for the
+    batched residuals."""
+    singular = [x for x in range(Q.order) if rank(mats[x], tol) < mats.shape[1]]
+    violations = []
+    for y in range(Q.order):
+        if y not in singular:
+            inv = np.linalg.inv(mats[y])
+            for x in range(Q.order):
+                res = float(np.linalg.norm(mats[Q.op(x, y)] - mats[y] @ mats[x] @ inv))
+                if res > tol:
+                    violations.append((x, y, res))
+    return singular, violations
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 13])
+def test_validate_rep_matches_the_pairwise_loop(d):
+    """Same singular images and violating pairs in the same order; each
+    residual is the same Frobenius norm summed in another order, so it
+    agrees to a rounding bound of 2 d^2 eps."""
+    rng = np.random.default_rng(d)
+    for Q in (dihedral(5), dihedral(6), trivial(3)):
+        mats = rng.standard_normal((Q.order, d, d)) + 1j * rng.standard_normal((Q.order, d, d))
+        mats[1] = 0.0
+        mats[2] = mats[0]
+        singular, violations = _pairwise_report(Q, mats)
+        report = validate_rep(Q, mats)
+        assert report.singular == singular
+        assert [v[:2] for v in report.violations] == [v[:2] for v in violations]
+        np.testing.assert_allclose([v[2] for v in report.violations],
+                                   [v[2] for v in violations],
+                                   rtol=2 * d * d * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
@@ -806,3 +841,21 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_tolerances_live_in_the_policy_block():
+    """Every float literal with a negative exponent in the package sits in
+    the tolerance policy block of reps.py.  Docstrings and comments are
+    STRING and COMMENT tokens, so the numbers they quote do not count."""
+    pkg = Path(__file__).resolve().parents[1] / "src" / "quandlelab"
+    lines = (pkg / "reps.py").read_text().splitlines()
+    start = lines.index("# -- tolerance policy --") + 1
+    end = lines.index("# -- end of tolerance policy --") + 1
+    stray = []
+    for path in sorted(pkg.glob("*.py")):
+        with open(path, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if (tok.type == tokenize.NUMBER and "e-" in tok.string.lower()
+                        and not (path.name == "reps.py" and start < tok.start[0] < end)):
+                    stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert stray == []
