@@ -14,12 +14,13 @@ printed matrix forms of the translation operators in the difference bases.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParamsError, VerificationFailureError
-from .quandles import Quandle, compose, dihedral, perm_order
+from .quandles import Quandle, compose, cycle_type, dihedral, generating_set
 from .reps import (
     INTEGRAL_TOL,
     INVARIANCE_TOL,
@@ -28,8 +29,8 @@ from .reps import (
     Part,
     QuandleRep,
     Subspace,
-    invariance_residual,
-    rank,
+    act_on,
+    part_residuals,
     regular_rep,
 )
 
@@ -72,64 +73,86 @@ def opaque(dim: int) -> IrrepLabel:
 
 
 def _rotation_order(Q: Quandle) -> int:
-    return perm_order(compose(Q.translation(2), Q.translation(1)))
+    return math.lcm(*cycle_type(compose(Q.translation(2), Q.translation(1))))
 
 
 def label_part(rep: QuandleRep, sub: Subspace, r: int | None = None) -> IrrepLabel:
-    """Identify the irreducible class of an invariant subspace.
+    """Identify the irreducible class of one invariant subspace: the
+    one-part case of `read_labels`."""
+    return read_labels(rep, [sub.basis], r)[0]
+
+
+def read_labels(rep: QuandleRep, bases: list[np.ndarray], r: int | None = None) -> list[IrrepLabel]:
+    """The irreducible class of each invariant subspace, given by
+    orthonormal bases B_i, read off the diagonal blocks G1 = B_i^H rho(1) B_i
+    and G2 = B_i^H rho(2) B_i, all parts of one dimension at once.
 
     One-dimensional parts read the scalars of R_1 and R_2 directly.  For a
     two-dimensional part, an eigenvector u of the restricted rotation
-    rho(2)rho(1) together with v = rho(1)u forms the basis in which the two
+    G2 G1 together with v = G1 u forms the basis in which the two
     generators must take the forms [[0,1],[1,0]] and [[0,w],[w^-1,0]]; the
-    anti-diagonal entry w = w_r^s fixes the label.  Anything that fails
-    verification is labeled opaque.
+    anti-diagonal entry w = w_r^s, r the order of the rotation, fixes the
+    label.  Anything that fails verification is labeled opaque.
     """
-    Q = rep.quandle
-    k = sub.dim
-    if Q.order < 3:
-        return opaque(k) if k > 1 else C(1, 1)
-    G1 = sub.restrict(rep.mat(1))
-    G2 = sub.restrict(rep.mat(2))
-    if k == 1:
-        lam, mu = complex(G1[0, 0]), complex(G2[0, 0])
-        if (min(abs(lam - 1), abs(lam + 1)) > LABEL_TOL
-                or min(abs(mu - 1), abs(mu + 1)) > LABEL_TOL):
-            return opaque(1)
-        return C(1 if abs(lam - 1) < LABEL_TOL else -1, 1 if abs(mu - 1) < LABEL_TOL else -1)
-    if k != 2:
-        return opaque(k)
-    if r is None:
-        r = _rotation_order(Q)
-    M = G2 @ G1
-    vals, vecs = np.linalg.eig(M)
-    u = vecs[:, 0]
-    v = G1 @ u
-    P = np.column_stack([u, v])
-    if rank(P, LABEL_TOL) < 2:
-        return opaque(2)
-    Pinv = np.linalg.inv(P)
-    swap = np.array([[0, 1], [1, 0]])
-    R1 = Pinv @ G1 @ P
-    R2 = Pinv @ G2 @ P
-    if np.linalg.norm(R1 - swap) > LABEL_TOL:
-        return opaque(2)
-    w = complex(R2[0, 1])
-    if abs(abs(w) - 1) > LABEL_TOL:
-        return opaque(2)
-    expected = np.array([[0, w], [1 / w, 0]])
-    if np.linalg.norm(R2 - expected) > LABEL_TOL:
-        return opaque(2)
-    s = round(r * cmath.phase(w) / (2 * cmath.pi)) % r
-    if abs(w - cmath.exp(2j * cmath.pi * s / r)) > LABEL_TOL:
-        return opaque(2)
-    return W(r, s)
+    dims = np.array([B.shape[1] for B in bases])
+    if rep.quandle.order < 3:
+        return [opaque(k) if k > 1 else C(1, 1) for k in dims]
+    labels = [opaque(k) for k in dims]
+    V = np.hstack(bases)
+    acted = act_on(rep, [1, 2], V)
+    starts = np.cumsum(dims) - dims
+    for k, read in ((1, _read_lines), (2, _read_planes)):
+        which = np.flatnonzero(dims == k)
+        if not which.size:
+            continue
+        cols = starts[which, None] + np.arange(k)                        # (parts, k)
+        G = np.einsum("dps,xdpt->xpst", V[:, cols].conj(), acted[:, :, cols])
+        if k == 2 and r is None:
+            r = _rotation_order(rep.quandle)
+        for i, lbl in zip(which, read(G[0], G[1], r)):
+            labels[i] = lbl
+    return labels
+
+
+def _read_lines(G1: np.ndarray, G2: np.ndarray, r) -> list[IrrepLabel]:
+    lam, mu = G1[:, 0, 0], G2[:, 0, 0]
+    plus_l, plus_m = abs(lam - 1), abs(mu - 1)
+    ok = ((np.minimum(plus_l, abs(lam + 1)) <= LABEL_TOL)
+          & (np.minimum(plus_m, abs(mu + 1)) <= LABEL_TOL)).tolist()
+    a, b = (plus_l < LABEL_TOL).tolist(), (plus_m < LABEL_TOL).tolist()
+    return [C(1 if x else -1, 1 if y else -1) if good else opaque(1)
+            for good, x, y in zip(ok, a, b)]
+
+
+def _read_planes(G1: np.ndarray, G2: np.ndarray, r: int) -> list[IrrepLabel]:
+    vals, vecs = np.linalg.eig(G2 @ G1)
+    u = vecs[:, :, :1]
+    scalar = abs(vals[:, 0] - vals[:, 1]) <= LABEL_TOL     # every u is an eigenvector:
+    if scalar.any():                                        # take one off the eigenlines of G1
+        u[scalar] = np.linalg.eig(G1[scalar])[1].sum(axis=2, keepdims=True) / np.sqrt(2)
+    P = np.concatenate([u, G1 @ u], axis=2)                               # columns u, v
+    s = np.linalg.svd(P, compute_uv=False)
+    ok = s[:, 1] > LABEL_TOL * np.maximum(s[:, 0], 1.0)                   # rank 2
+    Pinv = np.linalg.inv(np.where(ok[:, None, None], P, np.eye(2)))
+    R1, R2 = Pinv @ G1 @ P, Pinv @ G2 @ P
+    w = R2[:, 0, 1]
+    ok &= abs(abs(w) - 1) <= LABEL_TOL
+    w = np.where(ok, w, 1.0)
+    R1[:, 0, 1] -= 1                                       # R1 - [[0, 1], [1, 0]]
+    R1[:, 1, 0] -= 1
+    R2[:, 0, 1] -= w                                       # R2 - [[0, w], [1/w, 0]]
+    R2[:, 1, 0] -= 1 / w
+    ok &= np.sum(abs(R1) ** 2, axis=(1, 2)) <= LABEL_TOL ** 2
+    ok &= np.sum(abs(R2) ** 2, axis=(1, 2)) <= LABEL_TOL ** 2
+    e = np.rint(r * np.angle(w) / (2 * np.pi)).astype(int) % r
+    ok &= abs(w - np.exp(2j * np.pi * e / r)) <= LABEL_TOL
+    return [W(r, x) if good else opaque(2) for good, x in zip(ok.tolist(), e.tolist())]
 
 
 def label_parts(rep: QuandleRep, decomp: Decomposition) -> Decomposition:
-    r = _rotation_order(rep.quandle) if rep.quandle.order >= 3 else None
-    for p in decomp.parts:
-        p.label = label_part(rep, p.subspace, r=r)
+    """Attach the label of every part, read in one batch (`read_labels`)."""
+    for p, lbl in zip(decomp.parts, read_labels(rep, [p.subspace.basis for p in decomp.parts])):
+        p.label = lbl
     return decomp
 
 
@@ -191,22 +214,21 @@ def dihedral_closed_form(n: int, tol: float = INVARIANCE_TOL) -> Decomposition:
             parts.append(Part(sub, label=W(n, 2 * s), irreducible=True,
                               generator_desc=f"sum_i (1-w{n}^{{{s}i}}) v(i,i+1)"))
 
-    total = sum(p.dim for p in parts)
-    if total != n:
-        raise VerificationFailureError(f"closed-form dims sum to {total}, not {n}")
-    for p in parts:
-        res = invariance_residual(rep, p.subspace)
+    dims = [p.dim for p in parts]
+    if sum(dims) != n:
+        raise VerificationFailureError(f"closed-form dims sum to {sum(dims)}, not {n}")
+    bases = [p.subspace.basis for p in parts]
+    V = np.hstack(bases)
+    if np.linalg.norm(V.conj().T @ V - np.eye(n)) > tol:
+        raise VerificationFailureError("closed-form parts are not orthogonal")
+    residuals = part_residuals(rep, V, dims, generating_set(Q))
+    for p, read, res in zip(parts, read_labels(rep, bases), residuals):
         if res > tol:
             raise VerificationFailureError(
                 f"closed-form part {p.label} has invariance residual {res:.2e}")
-        read = label_part(rep, p.subspace)
         if read != p.label:
             raise VerificationFailureError(
                 f"closed-form part labeled {p.label} reads back as {read}")
-    for i, p in enumerate(parts):
-        for q in parts[i + 1:]:
-            if np.linalg.norm(p.subspace.basis.conj().T @ q.subspace.basis) > tol:
-                raise VerificationFailureError("closed-form parts are not orthogonal")
     return Decomposition(parts=parts, complete=True)
 
 

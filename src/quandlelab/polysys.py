@@ -258,15 +258,21 @@ def system_has_no_solution(inv: LogInvolution, method: str = "auto") -> Certific
         return cert
 
     cert.method = "subresultant-chain"
-    polys = sorted((system_poly(inv, k) for k in inv.pair_representatives()),
-                   key=degree)
-    g = polys[0]
-    cert.steps.append(GcdStep("P(first)", degree(g)))
-    for p in polys[1:]:
+    # the equations in ascending degree, built as the chain reaches them:
+    # the representative of degree top is k = phi(top), as above
+    g: IntPoly | None = None
+    for top in range(1, inv.q - 1):
+        k = inv.phi[top]
+        if k > top:
+            continue
+        if g is None:
+            g = system_poly(inv, k)
+            cert.steps.append(GcdStep("P(first)", degree(g)))
+        else:
+            g = int_poly_gcd(g, system_poly(inv, k))
+            cert.steps.append(GcdStep("P(next)", degree(g)))
         if degree(g) == 0:
             break
-        g = int_poly_gcd(g, p)
-        cert.steps.append(GcdStep("P(next)", degree(g)))
     cert.final_degree = degree(g)
     return cert
 

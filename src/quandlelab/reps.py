@@ -2,24 +2,32 @@
 
 A representation sends each quandle element to an invertible matrix so that
 rho(x > y) = rho(y) rho(x) rho(y)^{-1}.  The regular representation acts by
-permutation matrices; its invariant subspaces are exactly the invariant
-subspaces of the (finite) group generated by the image, which is what makes
-the commutant-averaging decomposition below complete.  Each part is
-certified irreducible by the character norm of the finite image group,
-(1/|G|) sum_g |tr(g|_W)|^2 = dim End_G(W), an integer that must be one.
-For images that generate an infinite group the decomposition degrades to a
-search for one-dimensional invariant subspaces and reports incompleteness
-instead of guessing.
+permutation matrices, and its invariant subspaces are those of the finite
+group G generated by the images.
 
-A finite image group is held in one of two forms.  When every image is a
-permutation matrix it is a (|G|, d) index array, row p the permutation
-with g e_j = e_{p[j]}, closed exactly over the images of a generating set;
-otherwise it is a (|G|, d, d) stack of matrices.  `_act` applies either
-form to a basis B, as the gather B[p^{-1}] or as a matmul, and the
-decomposition's restrictions B^H g B and every invariance residual go
-through it; the character norm of a permutation group is a gather too,
-tr(gP) = sum_j P[j, p[j]].  A representation finds its permutation form
-once and keeps it, which is why its matrices are read-only.
+A permutation representation is split through its orbitals, the orbits of G
+on pairs (i, j), found as the connected components of the pair graph
+(i, j) -> (p_i, p_j) over the generator images without enumerating G.  The
+0/1 matrices O_k of the orbitals span the commutant (Higman, "Coherent
+configurations", 1975), so the eigenspaces of one random Hermitian element
+X = sum_k c_k O_k + its conjugate transpose are irreducible: one `eigh`
+splits the space.  Each part B is certified by Schur's test, B^H O_k B
+scalar for every orbital k, and the parts as a whole by the count
+sum over isomorphism classes of (parts in the class)^2 = number of
+orbitals.  Invariance is read off V^H rho(g) V, V the stacked parts, over
+the generator images.
+
+Any other finite image group is enumerated as a (|G|, d, d) stack of
+matrices, a random Hermitian matrix is averaged over it into the commutant,
+and its eigenspaces are split recursively until the character norm
+(1/|G|) sum_g |tr(g|_W)|^2 = dim End_G(W) of each part is one.  For images
+that generate an infinite group the decomposition degrades to a search for
+one-dimensional invariant subspaces and reports incompleteness instead of
+guessing.
+
+A representation finds the permutation form of its images once and keeps
+it, which is why its matrices are read-only: as index arrays the images act
+on a basis B by the gather B[p^{-1}] (`act_on`).
 
 Every numerical rank in the library (kernels, spans, ranks and the
 invertibility gates) reads one rule on `np.linalg.svd`, `_rank_cut`: keep
@@ -51,12 +59,14 @@ from .quandles import Quandle, generating_set, perm_closure
 # Every numerical threshold of the library, named once by the decision it gates; a
 # test fails on a float literal with a negative exponent anywhere else in the
 # package.  An RTOL is a rank cut read by `_rank_cut`.
-INVARIANCE_TOL = 1e-9         # invariance and conjugation-law residuals; singular-image cut
+INVARIANCE_TOL = 1e-9         # invariance and conjugation-law residuals; singular-image cut;
+                              # B_i^H Y B_j of non-isomorphic parts, relative to max |B^H Y B|
 SOLVED_INVARIANCE_TOL = 1e-7  # invariance of W and of a solved complement or common eigenvector
 COMPLEMENT_LSQ_TOL = 1e-8     # relative least-squares residual at which a complement exists
 PAIR_TOL = 1e-9               # 2x2 pairs: relation backward errors; equal, scalar, commuting
 CLUSTER_TOL = 1e-8            # eigenvalue clustering radius; the Jordan reading's kernel cuts
-CHARACTER_TOL = 1e-8          # distance of a character norm from its integer
+CHARACTER_TOL = 1e-8          # irreducibility: a character norm from its integer, a Schur block
+                              # B^H O_k B from a scalar (relative to its largest entry)
 POWER_TOL = 1e-9              # relative gap of distinct k-th powers; modulus of a zero eigenvalue
 UNIT_CIRCLE_TOL = 1e-6        # ||lam| - 1| that rules out a generator of finite order
 FULL_RANK_RTOL = 1e-9         # stacked bases (parts, chains, eigenspaces) span the space
@@ -69,6 +79,7 @@ DISTINCT_TOL = 1e-9           # entrywise distance at which two images are one
 CLOSURE_TOL = 1e-7            # entrywise distance at which two closure products are one
 UNITARY_TOL = 1e-9            # |g^H g - I| below which a finite group is used as it is
 CLOSURE_CAP = 10 ** 6         # elements before the closure of `matrix_group` gives up
+GATHER_CHUNK = 1 << 20        # entries of one chunk of the orbital gathers and sums
 NORM_GROWTH = 1e6             # products past this times the largest generator norm: infinite
 INTEGRAL_TOL = 1e-9           # a translation's matrix in a difference basis is integral
 LABEL_TOL = 1e-6              # `label_part` reads scalars, generator forms and roots of unity
@@ -117,15 +128,25 @@ def cluster(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndarray]:
     linkage), ordered by their smallest index, each an ascending index
     array."""
     v = np.asarray(values)
-    near = np.abs(v[:, None] - v[None, :]) <= tol * max(1.0, float(np.max(np.abs(v))))
-    root = np.arange(v.size)
-    while True:  # each index takes the smallest root among its neighbours
-        nxt = np.where(near, root, v.size).min(axis=1)
-        if np.array_equal(nxt, root):
-            break
-        root = nxt
+    radius = tol * max(1.0, float(np.max(np.abs(v))))
+    if np.isrealobj(v) and np.all(v[1:] >= v[:-1]):     # sorted: the runs of small gaps
+        return np.split(np.arange(v.size), np.flatnonzero(np.diff(v) > radius) + 1)
+    root = _components(np.abs(v[:, None] - v[None, :]) <= radius)
     order = np.argsort(root, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
+
+def _components(near: np.ndarray) -> np.ndarray:
+    """The smallest index of each index's connected component in the
+    symmetric boolean adjacency matrix near; an index with no neighbour,
+    itself included, is a component of its own."""
+    root = np.arange(len(near))
+    while True:  # each index takes the smallest root among its neighbours, then its root's
+        nxt = np.where(near, root, root[:, None]).min(axis=1)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, root):
+            return root
+        root = nxt
 
 
 @dataclass(frozen=True)
@@ -232,24 +253,32 @@ def _permutation_form(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     inverse = (hit // 2 % d).reshape(n, d)
     if not np.array_equal(np.sort(inverse, axis=1), np.broadcast_to(np.arange(d), (n, d))):
         return None
-    perms = _inverse_perms(inverse)
-    perms.setflags(write=False)
-    inverse.setflags(write=False)
-    return perms, inverse
+    return _read_only(_inverse_perms(inverse), inverse)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 class QuandleRep:
     """A validated map element -> invertible complex matrix.
 
     `matrices` is read-only, as `Quandle.table` is: the permutation form is
-    read from it once and kept."""
+    read from it once and kept.  A caller that built the matrices from
+    permutations passes them as `perms` (rho(x) e_j = e_{perms[x, j]}), and
+    the matrices are not scanned for them."""
 
-    def __init__(self, quandle: Quandle, matrices: np.ndarray):
+    def __init__(self, quandle: Quandle, matrices: np.ndarray, perms: np.ndarray | None = None):
         self.quandle = quandle
         self.matrices = np.ascontiguousarray(matrices, dtype=complex)
         self.matrices.setflags(write=False)
         self.dim = int(self.matrices.shape[1])
         self._perm_form: tuple[np.ndarray, np.ndarray] | None | bool = False  # False: not read yet
+        if perms is not None:
+            perms = np.array(perms, dtype=np.intp)
+            self._perm_form = _read_only(perms, _inverse_perms(perms))
 
     def mat(self, x: int) -> np.ndarray:
         return self.matrices[x]
@@ -285,18 +314,37 @@ def validate_rep(Q: Quandle, matrices, tol: float = INVARIANCE_TOL) -> RepCheck:
     """Report conjugation-law residuals and singular images without raising:
     the residuals || rho(x > y) - rho(y) rho(x) rho(y)^-1 ||_F above tol as
     (x, y, residual), y-major, taken for all x at once for each invertible
-    rho(y); an image is singular when `rank(rho(x), tol)` falls short."""
+    rho(y); an image is singular when `rank(rho(x), tol)` falls short.
+
+    The residuals are taken at the y of `generating_set(Q)` first, and at
+    every y only when one of those shows a violation or an image is
+    singular.  If the law holds for all x at a and at b, with invertible
+    images, it holds at a > b: x > (a > b) = ((x >^-1 b) > a) > b, and the
+    law at b gives rho(x >^-1 b) = rho(b)^-1 rho(x) rho(b), so
+    rho(x > (a > b)) = rho(b) rho(a) rho(b)^-1 rho(x) rho(b) rho(a)^-1 rho(b)^-1
+    = rho(a > b) rho(x) rho(a > b)^-1.  The y where it holds are closed
+    under > and, holding the generators, are all of Q.  The argument is
+    exact; in floating point a residual at another y can exceed those at
+    the generators by the rounding of the products, so images whose
+    generator residuals sit just under tol are not scanned further."""
     mats = _as_matrix_stack(Q, matrices)
-    singular = [x for x in range(Q.order) if rank(mats[x], tol) < mats.shape[1]]
-    violations = []
-    for y in range(Q.order):
-        if y in singular:
-            continue
-        diff = mats[y] @ mats @ np.linalg.inv(mats[y])
-        diff -= mats[Q.table[:, y]]
-        parts = diff.reshape(len(mats), -1).view(np.float64)    # re, im interleaved
-        res = np.sqrt(np.einsum("ij,ij->i", parts, parts))      # Frobenius norms
-        violations.extend((int(x), y, float(res[x])) for x in np.flatnonzero(res > tol))
+    d = mats.shape[1]
+    singular = [x for x, s in enumerate(np.linalg.svd(mats, compute_uv=False))
+                if _rank_cut(s, tol) < d] if d else []
+
+    def residuals(ys) -> list[tuple[int, int, float]]:
+        out = []
+        for y in ys:
+            diff = mats[y] @ mats @ np.linalg.inv(mats[y])
+            diff -= mats[Q.table[:, y]]
+            parts = diff.reshape(len(mats), -1).view(np.float64)    # re, im interleaved
+            res = np.sqrt(np.einsum("ij,ij->i", parts, parts))      # Frobenius norms
+            out.extend((int(x), y, float(res[x])) for x in np.flatnonzero(res > tol))
+        return out
+
+    violations = [] if singular else residuals(generating_set(Q))
+    if singular or violations:
+        violations = residuals(y for y in range(Q.order) if y not in singular)
     return RepCheck(ok=not singular and not violations,
                     violations=violations, singular=singular)
 
@@ -343,7 +391,7 @@ def regular_rep(Q: Quandle) -> QuandleRep:
     t = np.arange(n)
     mats = np.zeros((n, n, n), dtype=complex)
     mats[t[:, None], Q.table.T, t[None, :]] = 1.0    # mats[t, x > t, x]
-    return QuandleRep(Q, mats)
+    return QuandleRep(Q, mats, perms=Q.table.T)
 
 
 def is_permutation_rep(rep: QuandleRep) -> bool:
@@ -372,34 +420,32 @@ class Subspace:
         return self.basis.conj().T @ matrix @ self.basis
 
 
-def _act(group: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """g B for every g of a stack, side by side as a (d, |G|, k) array: the
-    gather B[a] for an index array whose rows a give g B = B[a] (a is the
-    inverse of the permutation p with g e_j = e_{p[j]}), a matmul for a
-    (|G|, d, d) stack of matrices."""
-    return np.take(B, group.T, axis=0) if group.ndim == 2 else (group @ B).transpose(1, 0, 2)
-
-
-def _restrict(group: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """B^H g B for every g of a stack read as in `_act`, (|G|, k, k)."""
-    d, k = B.shape
-    return (B.conj().T @ _act(group, B).reshape(d, -1)).reshape(k, -1, k).transpose(1, 0, 2)
-
-
-def _images(rep: QuandleRep) -> np.ndarray:
-    """The images rho(x) in the form `_act` reads."""
+def act_on(rep: QuandleRep, elements, B: np.ndarray) -> np.ndarray:
+    """rho(x) B for each x of elements, (len(elements), d, k): a gather of
+    the rows of B on a permutation representation."""
     form = rep.permutation_form()
-    return rep.matrices if form is None else form[1]
+    return B[form[1][elements]] if form is not None else rep.matrices[elements] @ B
+
+
+def part_residuals(rep: QuandleRep, V: np.ndarray, dims, elements) -> np.ndarray:
+    """The invariance residual of each part of V = [B_1 ... B_p], a unitary
+    matrix of part bases side by side: max over x of elements of
+    || (I - P_i) rho(x) B_i ||_F, P_i = B_i B_i^H, which is the norm of the
+    entries of the B_i columns of V^H rho(x) V outside the rows of B_i."""
+    owner = np.repeat(np.arange(len(dims)), dims)
+    M = V.conj().T @ act_on(rep, elements, V)                       # (|elements|, d, d)
+    off = np.where(owner[:, None] == owner[None, :], 0.0, np.abs(M) ** 2).sum(axis=1)
+    starts = np.cumsum(dims) - dims
+    return np.sqrt(np.add.reduceat(off, starts, axis=1).max(axis=0))
 
 
 def invariance_residual(rep: QuandleRep, subspace: Subspace) -> float:
     """max over x of || rho(x) B - B (B^H rho(x) B) ||_F, which is
     || (I - P) rho(x) B ||_F; zero iff the span is invariant."""
     B = subspace.basis
-    d, k = B.shape
-    MB = _act(_images(rep), B).reshape(d, -1)
-    E = (MB - B @ (B.conj().T @ MB)).reshape(d, -1, k)
-    return float(np.sqrt(np.max(np.einsum("ixa,ixa->x", E.conj(), E).real)))
+    MB = act_on(rep, slice(None), B)
+    E = MB - B @ (B.conj().T @ MB)
+    return float(np.sqrt(np.max(np.einsum("xia,xia->x", E.conj(), E).real)))
 
 
 def augmentation_split(rep: QuandleRep) -> tuple[Subspace, Subspace]:
@@ -526,19 +572,6 @@ def character_norm(group: np.ndarray, basis: np.ndarray) -> int:
     return norm
 
 
-def _conjugation_mean(H: np.ndarray, acts: np.ndarray) -> np.ndarray:
-    """(1/|G|) sum_g g H g^H for a permutation group given by the index rows
-    a of `_act` (g B = B[a]): entry (i, j) averages H[a_i, a_j] over the
-    group.  The gather is taken over blocks of rows, each at most about
-    2^22 entries, so that large groups stay in memory."""
-    n, d = acts.shape
-    out = np.empty_like(H)
-    step = max(1, (1 << 22) // (n * d))
-    for i in range(0, d, step):
-        out[i:i + step] = H[acts[:, i:i + step, None], acts[:, None, :]].mean(axis=0)
-    return out
-
-
 @dataclass
 class Part:
     subspace: Subspace
@@ -573,40 +606,183 @@ def _sorted_parts(parts: list[Part]) -> list[Part]:
     return sorted(parts, key=keyfn)
 
 
+def _orbitals(gens: np.ndarray) -> np.ndarray:
+    """The orbitals of the group generated by the rows p of gens
+    (g e_j = e_{p[j]}): a (d, d) array numbering the orbit of each pair
+    (i, j) 0, 1, ..., in the order of its first pair in row-major order.
+    They are the connected components of the graph (i, j) -> (p_i, p_j),
+    found by hooking each pair and its image onto the smaller root and
+    shortcutting the roots."""
+    d = gens.shape[1]
+    moves = (gens[:, :, None] * d + gens[:, None, :]).reshape(len(gens), d * d)
+    root = np.arange(d * d)
+    while True:
+        nxt = root
+        for m in moves:
+            low = np.minimum(nxt, nxt[m])
+            low[m] = np.minimum(low[m], low)
+            nxt = low
+        while not np.array_equal(nxt[nxt], nxt):
+            nxt = nxt[nxt]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    first = root == np.arange(d * d)
+    return (np.cumsum(first) - 1)[root].reshape(d, d)
+
+
+def _orbital_breakers(perms: np.ndarray, lab: np.ndarray) -> list[int]:
+    """The rows x of perms whose permutation p moves some pair (i, j) into
+    another orbital, lab[p_i, p_j] != lab[i, j], gathered in chunks of at
+    most about GATHER_CHUNK entries."""
+    n, d = perms.shape
+    step = max(1, GATHER_CHUNK // (d * d))
+    out = []
+    for i in range(0, n, step):
+        P = perms[i:i + step]
+        moved = lab[P[:, :, None], P[:, None, :]] != lab
+        out += (i + np.flatnonzero(moved.reshape(len(P), -1).any(axis=1))).tolist()
+    return out
+
+
+def _orbital_pairs(lab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, bounds): the pairs sorted by orbital, those of orbital k at
+    bounds[k]:bounds[k+1]."""
+    order = np.argsort(lab, axis=None, kind="stable")
+    bounds = np.searchsorted(lab.ravel()[order], np.arange(int(lab.max()) + 2))
+    return order // len(lab), order % len(lab), bounds
+
+
+def _schur_deviation(V: np.ndarray, dims: np.ndarray, pairs: tuple) -> float:
+    """Schur's test on every part B of V = [B_1 ... B_p] of dim m >= 2: the
+    largest || S - (tr S / m) I ||_F over the orbitals k of S = B^H O_k B,
+    relative to max(1, max |S|), pairs as `_orbital_pairs` lists them.
+    Orbitals whose sizes lie within a factor of two are summed together, as
+    the batched product of the (m, sigma) rows conj(B[i])^T and the
+    (sigma, m) rows B[j], each orbital padded to the largest size sigma by
+    a zero row, over runs of at most about GATHER_CHUNK gathered entries."""
+    i, j, bounds = pairs
+    sizes = np.diff(bounds)
+    bands: list[list[int]] = []
+    for k in np.argsort(sizes, kind="stable").tolist():
+        if not bands or sizes[k] > 2 * sizes[bands[-1][0]]:
+            bands.append([])
+        bands[-1].append(k)
+    starts = np.cumsum(dims) - dims
+    worst = 0.0
+    for m in sorted(set(dims[dims >= 2].tolist())):
+        cols = (starts[dims == m][:, None] + np.arange(m)).ravel()
+        Wt = np.ascontiguousarray(V[:, cols].T)                        # (p m, d)
+        Wct = np.hstack([Wt.conj(), np.zeros((len(cols), 1))])         # column d is zero
+        p = len(cols) // m
+        for band in map(np.array, bands):
+            sigma = int(sizes[band[-1]])
+            step = max(1, GATHER_CHUNK // (p * m * sigma))
+            for ks in np.split(band, np.arange(step, len(band), step)):
+                at = bounds[ks][:, None] + np.arange(sigma)
+                inside = at < bounds[ks + 1][:, None]
+                at = np.where(inside, at, 0).ravel()
+                ia = np.where(inside.ravel(), i[at], len(Wt[0]))
+                A = Wct[:, ia].reshape(p, m, len(ks), sigma).transpose(0, 2, 1, 3)
+                B = Wt[:, j[at]].reshape(p, m, len(ks), sigma).transpose(0, 2, 3, 1)
+                S = A @ B                                                  # (p, |ks|, m, m)
+                scale = max(1.0, float(np.max(np.abs(S))))
+                S -= np.trace(S, axis1=2, axis2=3)[..., None, None] / m * np.eye(m)
+                dev = float(np.sqrt(np.max(np.sum(np.abs(S) ** 2, axis=(2, 3)))))
+                worst = max(worst, dev / scale)
+    return worst
+
+
+def _class_count(Z: np.ndarray, dims: np.ndarray) -> int:
+    """sum over isomorphism classes of (parts in the class)^2, the classes
+    read off Z = V^H Y V for a generic Y of the commutant: the block
+    B_i^H Y B_j of two irreducible parts vanishes exactly when they are not
+    isomorphic, and the classes are the connected components of the
+    blocks above INVARIANCE_TOL * max |Z|."""
+    starts = np.cumsum(dims) - dims
+    A = np.abs(Z)
+    block = np.add.reduceat(np.add.reduceat(A ** 2, starts, axis=0), starts, axis=1)
+    linked = block > (INVARIANCE_TOL * max(1.0, float(np.max(A)))) ** 2
+    return int(np.sum(np.bincount(_components(linked)) ** 2))
+
+
+def _commutant_element(lab: np.ndarray, n_orbitals: int, rng) -> np.ndarray:
+    """X = sum_k c_k O_k + its conjugate transpose, c complex normal."""
+    c = rng.standard_normal(n_orbitals) + 1j * rng.standard_normal(n_orbitals)
+    X = c[lab]
+    return X + X.conj().T
+
+
+def _split_by_orbitals(rep: QuandleRep, tol: float, seed: int) -> list[Part]:
+    """The certified parts of a permutation representation.  The orbitals
+    are those of the images of the generating set, joined by any image that
+    moves one of them, so they are the orbitals of the group of all images,
+    and invariance is checked on the images of that joined set."""
+    perms = rep.permutation_form()[0]
+    gens = generating_set(rep.quandle)
+    lab = _orbitals(perms[gens])
+    outside = _orbital_breakers(perms, lab)
+    if outside:
+        gens = gens + outside
+        lab = _orbitals(perms[gens])
+    n_orbitals = int(lab.max()) + 1
+    pairs = _orbital_pairs(lab)
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        vals, vecs = np.linalg.eigh(_commutant_element(lab, n_orbitals, rng))
+        clusters = sorted(cluster(vals), key=len)     # by dim, then eigenvalue
+        V = vecs[:, np.concatenate(clusters)]
+        dims = np.array([len(idx) for idx in clusters])
+        Y = _commutant_element(lab, n_orbitals, rng)
+        if (_schur_deviation(V, dims, pairs) <= CHARACTER_TOL
+                and _class_count(V.conj().T @ Y @ V, dims) == n_orbitals):
+            break
+    else:
+        raise ToleranceFailureError(
+            "could not separate eigenvalue clusters of the averaged commutant element")
+    res = float(np.max(part_residuals(rep, V, dims, gens)))
+    if res > tol:
+        raise ToleranceFailureError(f"part invariance residual {res:.2e} exceeds {tol}")
+    return [Part(Subspace(V[:, e - k:e]), irreducible=True) for e, k in zip(np.cumsum(dims), dims)]
+
+
 def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL, seed: int = 0,
               label: bool = True) -> Decomposition:
-    """Split a representation into irreducible invariant subspaces.
-
-    When the image matrices generate a finite group G, a random Hermitian
-    matrix is averaged over G into the commutant; eigenspaces of the
-    average are invariant, and recursion stops where the character norm of
-    G on the subspace is one (Schur certificate; see `character_norm`).
-    A permutation group acts by gathers (`_act`); on the whole space the
-    average of g H g^H is the gather H[p^-1][:, p^-1] over the group.
-    For an infinite image group the fallback collects one-dimensional
-    invariant subspaces and flags the decomposition as incomplete if they
-    do not exhaust the space.
-    """
-    try:
-        G = matrix_group(rep)
-    except GroupNotFiniteError:
-        return _decompose_infinite(rep, tol)
-
-    back = None
-    if G.ndim == 2:
-        acts = _inverse_perms(G)    # permutations are unitary; g B = B[p^-1]
+    """Split a representation into irreducible invariant subspaces (see
+    the module docstring): a permutation representation by its orbitals,
+    another with a finite image group by commutant averaging; for an
+    infinite image group the one-dimensional invariant subspaces, flagged
+    incomplete if they do not exhaust the space.  The random draws read
+    `seed`; parts are labeled by `label_parts` unless label is False."""
+    if rep.permutation_form() is not None:
+        parts = _split_by_orbitals(rep, tol, seed)
     else:
-        # a finite matrix group can always be made unitary: average the Gram
-        # matrix over the group and conjugate by its square root
-        # V sqrt(w) V^H, the average being Hermitian positive definite
-        gram = G.conj().transpose(0, 2, 1) @ G
-        if not np.allclose(gram, np.eye(rep.dim), atol=UNITARY_TOL):
-            w, V = np.linalg.eigh(gram.mean(axis=0))
-            T = (V * np.sqrt(w)) @ V.conj().T
-            Tinv = np.linalg.inv(T)
-            G = T @ G @ Tinv
-            back = Tinv
-        acts = G
+        try:
+            parts = _split_by_character(rep, tol, seed)
+        except GroupNotFiniteError:
+            return _decompose_infinite(rep, tol)
+    decomp = Decomposition(parts=parts, complete=True)
+    if label:
+        from .dihedral_reps import label_parts
+        label_parts(rep, decomp)
+    return decomp
+
+
+def _split_by_character(rep: QuandleRep, tol: float, seed: int) -> list[Part]:
+    """The parts of a representation with a finite group of image matrices,
+    split by commutant averaging and certified by the character norm."""
+    G = matrix_group(rep)
+    back = None
+    # a finite matrix group can always be made unitary: average the Gram
+    # matrix over the group and conjugate by its square root
+    # V sqrt(w) V^H, the average being Hermitian positive definite
+    gram = G.conj().transpose(0, 2, 1) @ G
+    if not np.allclose(gram, np.eye(rep.dim), atol=UNITARY_TOL):
+        w, V = np.linalg.eigh(gram.mean(axis=0))
+        T = (V * np.sqrt(w)) @ V.conj().T
+        Tinv = np.linalg.inv(T)
+        G = T @ G @ Tinv
+        back = Tinv
 
     rng = np.random.default_rng(seed)
     parts: list[Part] = []
@@ -616,20 +792,13 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL, seed: int = 0,
         if character_norm(G, basis) == 1:
             parts.append(Part(sub, irreducible=True))
             return
-        if G.ndim == 2 and sub.dim == rep.dim:      # the whole space, basis I
-            def average(H):
-                return _conjugation_mean(H, acts)
-        else:
-            R = _restrict(acts, basis)
-            RH = R.conj().transpose(0, 2, 1)
-
-            def average(H):
-                return (R @ H @ RH).mean(axis=0)
+        R = basis.conj().T @ G @ basis
+        RH = R.conj().transpose(0, 2, 1)
         for attempt in range(6):
             H = rng.standard_normal((sub.dim, sub.dim)) + 1j * rng.standard_normal(
                 (sub.dim, sub.dim))
             H = H + H.conj().T
-            avg = average(H)
+            avg = (R @ H @ RH).mean(axis=0)
             avg = (avg + avg.conj().T) / 2
             vals, vecs = np.linalg.eigh(avg)
             clusters = cluster(vals)
@@ -653,11 +822,7 @@ def decompose(rep: QuandleRep, tol: float = INVARIANCE_TOL, seed: int = 0,
         res = invariance_residual(rep, p.subspace)
         if res > tol:
             raise ToleranceFailureError(f"part invariance residual {res:.2e} exceeds {tol}")
-    decomp = Decomposition(parts=parts, complete=True)
-    if label:
-        from .dihedral_reps import label_parts
-        label_parts(rep, decomp)
-    return decomp
+    return parts
 
 
 def _common_eigen_lines(mats: list[np.ndarray],
@@ -715,7 +880,7 @@ def is_irreducible(rep: QuandleRep, subspace: Subspace) -> bool:
     if res > INVARIANCE_TOL:
         raise InvalidParamsError(f"subspace is not invariant (residual {res:.2e})")
     B = subspace.basis
-    restricted = QuandleRep(rep.quandle, _restrict(_images(rep), B))
+    restricted = QuandleRep(rep.quandle, B.conj().T @ act_on(rep, slice(None), B))
     return character_norm(matrix_group(restricted), np.eye(subspace.dim)) == 1
 
 

@@ -415,6 +415,33 @@ def test_benchmark_tracer_counts_rigidity_least_squares(F5):
     assert metrics["cyclic_reps.lsq_nfev"] > 0
 
 
+def test_benchmark_tracer_times_decompose_and_the_closed_form():
+    """`--trace 1` on `regular-decompose` reads the spans of `decompose`,
+    `label_parts` and `dihedral_closed_form`; a renamed or bypassed
+    function reads 0 here as well as there."""
+    import quandlelab.cli  # noqa: F401  (the tracer wraps cli.main)
+    from quandlelab import dihedral_reps, reps
+    from quandlelab.quandles import dihedral
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        reps.decompose(regular_rep(dihedral(12)))
+        dihedral_reps.dihedral_closed_form(12)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    for name in ("reps.decompose_self_s", "dihedral_reps.label_parts_s",
+                 "dihedral_reps.closed_form_s"):
+        assert metrics[name] > 0, name
+
+
 def _spec_or_none(read):
     try:
         return read()

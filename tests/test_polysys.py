@@ -215,6 +215,31 @@ def test_fast_path_agrees_with_subresultant(q):
         assert fast.no_solutions == slow.no_solutions
 
 
+def _sorted_chain(inv):
+    """The subresultant chain over every equation built first and sorted
+    by degree: the reference for the chain built as it goes."""
+    polys = sorted((system_poly(inv, k) for k in inv.pair_representatives()),
+                   key=lambda p: len(p))
+    g, degrees = polys[0], [len(polys[0]) - 1]
+    for p in polys[1:]:
+        if len(g) == 1:
+            break
+        g = polysys.int_poly_gcd(g, p)
+        degrees.append(len(g) - 1)
+    return degrees
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9, 16, 27, 32, 64])
+def test_subresultant_chain_matches_the_sorted_build(q):
+    """The chain reaches the equations in the order of the sorted list and
+    stops at the same step, in both characteristics."""
+    F = build_field_q(q)
+    for a in primitive_elements(F):
+        inv = log_involution(F, a)
+        cert = system_has_no_solution(inv, method="subresultant")
+        assert [step.degree_after for step in cert.steps] == _sorted_chain(inv)
+
+
 def test_char2_small_field_is_genuinely_solvable(F4):
     """For the order-4 field the paired equations coincide, so the system
     is a single quadratic with roots; there is no fixed-point equation to

@@ -138,6 +138,28 @@ def test_validate_rep_matches_the_pairwise_loop(d):
                                    rtol=2 * d * d * np.finfo(float).eps)
 
 
+def test_validate_rep_on_generators_matches_the_pairwise_loop():
+    """Valid representations pass on the generator columns alone; a planted
+    violation or a singular image at a non-generator x is found in every
+    column, with the pairwise loop's report."""
+    from quandlelab.quandles import generating_set
+
+    F9 = build_field_q(9)
+    for Q in (dihedral(6), dihedral(7), alexander(F9, 2), alexander(F9, 5), trivial(3)):
+        mats = regular_rep(Q).matrices.copy()
+        assert _pairwise_report(Q, mats) == ([], [])
+        assert validate_rep(Q, mats).ok
+        x = next((x for x in range(Q.order) if x not in generating_set(Q)), None)
+        if x is None:
+            continue
+        for bad in (np.roll(mats[x], 1, axis=0), 0 * mats[x]):
+            planted = mats.copy()
+            planted[x] = bad
+            singular, violations = _pairwise_report(Q, planted)
+            report = validate_rep(Q, planted)
+            assert violations and (report.singular, report.violations) == (singular, violations)
+
+
 @pytest.mark.parametrize("d", [2, 5, 8])
 def test_singular_images_rejected_at_any_scale(d):
     rng = np.random.default_rng(d)
@@ -204,6 +226,18 @@ def test_regular_rep_matches_the_loop():
         assert np.array_equal(regular_rep(Q).matrices, mats), Q
 
 
+def test_regular_rep_hands_its_permutations():
+    """The permutations `regular_rep` passes are those a scan of its
+    matrices reads, and as read-only."""
+    from quandlelab.reps import PERMUTATION_TOL, _permutation_form
+
+    for Q in constructor_quandles(12):
+        rep = regular_rep(Q)
+        for given, scanned in zip(rep.permutation_form(),
+                                  _permutation_form(rep.matrices, PERMUTATION_TOL)):
+            assert np.array_equal(given, scanned) and not given.flags.writeable
+
+
 def test_rep_matrices_are_read_only():
     rep = regular_rep(dihedral(5))
     with pytest.raises(ValueError):
@@ -252,27 +286,45 @@ def test_matrix_group_closure_is_inner_group():
         assert [tuple(p) for p in group.tolist()] == inner_group(Q).elements
 
 
+def bent_reps():
+    """The images of regular representations with one non-generator image
+    replaced by a permutation outside the group of the generator images:
+    a swap of e_0 and e_1 (the group becomes S_5), or the shift
+    e_j -> e_(j+1), outside Inn(R_n) for even n."""
+    from quandlelab.quandles import generating_set
+
+    for n, image in [(5, [1, 0, 2, 3, 4])] + [(n, np.roll(np.arange(n), 1)) for n in (6, 8, 12)]:
+        Q = dihedral(n)
+        gens = generating_set(Q)
+        mats = regular_rep(Q).matrices.copy()
+        x = next(x for x in range(n) if x not in gens)
+        mats[x] = np.eye(n)[:, image]                           # e_j -> e_image[j]
+        yield QuandleRep(Q, mats)
+
+
 def test_matrix_group_of_images_outside_the_generators_closure():
     """A permutation "representation" whose non-generator image lies outside
     the group of the generator images: the group is still that of all
     images, as perm_closure over every distinct image finds it."""
-    from quandlelab.quandles import generating_set, perm_closure
+    from quandlelab.quandles import perm_closure
 
-    for n, image in [(5, [1, 0, 2, 3, 4])] + [(n, np.roll(np.arange(n), 1)) for n in (6, 8, 12)]:
-        # a swap of e_0 and e_1 (the group becomes S_5), or the shift
-        # e_j -> e_(j+1), outside Inn(R_n) for even n
-        Q = dihedral(n)
-        gens = generating_set(Q)
-        rep = regular_rep(Q)
-        mats = rep.matrices.copy()
-        x = next(x for x in range(n) if x not in gens)
-        mats[x] = np.eye(n)[:, image]                           # e_j -> e_image[j]
-        bent = QuandleRep(Q, mats)
+    for bent in bent_reps():
         perms = bent.permutation_form()[0]
         want = perm_closure(sorted(set(map(tuple, perms.tolist()))))
         got = matrix_group(bent)
         assert [tuple(p) for p in got.tolist()] == want
-        assert len(want) > len(matrix_group(rep))
+        assert len(want) > len(matrix_group(regular_rep(bent.quandle)))
+
+
+def test_decompose_adjoins_images_outside_the_generators_closure():
+    """The orbitals of the bent images are those of the group of all
+    images, so every part is irreducible under it."""
+    for bent in bent_reps():
+        group = matrix_group(bent)
+        decomp = decompose(bent, label=False)
+        assert sum(decomp.dims) == bent.dim
+        assert all(character_norm(group, p.subspace.basis) == 1 for p in decomp.parts)
+        assert all(invariance_residual(bent, p.subspace) <= 1e-9 for p in decomp.parts)
 
 
 def dense_group(group: np.ndarray) -> np.ndarray:
@@ -366,6 +418,50 @@ def test_character_norm_whole_space_is_orbital_count(kind, order):
     norm = character_norm(group, np.eye(Q.order, dtype=complex))
     assert norm == commutant_dimension(rep.distinct_matrices())
     assert norm == orbital_count(Q)
+
+
+def _orbitals_of(rep):
+    """The orbital labels of the regular representation, over the images
+    of the generating set, as `decompose` finds them."""
+    from quandlelab.quandles import generating_set
+    from quandlelab.reps import _orbitals
+
+    return _orbitals(rep.permutation_form()[0][generating_set(rep.quandle)])
+
+
+def relabeled(Q, sigma):
+    """Q carried through the bijection x -> sigma[x]."""
+    from quandlelab.quandles import Quandle
+
+    T = np.asarray(Q.table)
+    out = np.empty_like(T)
+    out[sigma[:, None], sigma[None, :]] = sigma[T]
+    return Quandle(out, label=f"{Q.label} relabeled")
+
+
+def test_orbital_count_is_the_commutant_dimension():
+    """The orbitals over the generator images number dim End_G(V), the
+    whole-space character norm, on every constructor quandle of order <= 30
+    and on relabeled Alexander quandles of order <= 16.  Up to order 16 they
+    also equal the Kronecker rank of `commutant_dimension` on the generator
+    images and the union-find count of `orbital_count`; up to order 30 these
+    two oracles took 90 s (an SVD of (|gens| n^2) x n^2, a Python loop over
+    n^3 pairs)."""
+    from quandlelab.quandles import generating_set
+
+    rng = np.random.default_rng(0)
+    quandles = constructor_quandles(30) + [
+        relabeled(alexander(build_field_q(q), a), rng.permutation(q))
+        for q in (3, 4, 5, 7, 8, 9, 11, 13, 16) for a in range(1, q)]
+    for Q in quandles:
+        rep = regular_rep(Q)
+        count = int(_orbitals_of(rep).max()) + 1
+        assert count == character_norm(matrix_group(rep), np.eye(Q.order)), Q
+        if Q.order <= 16:
+            assert count == orbital_count(Q), Q
+            gens = np.unique(rep.permutation_form()[0][generating_set(Q)], axis=0)
+            images = [np.eye(Q.order)[:, g] for g in gens]      # e_j -> e_g[j], real
+            assert count == commutant_dimension(images), Q
 
 
 def test_character_norm_counts_isomorphic_parts():
@@ -532,6 +628,90 @@ def test_decompose_deterministic():
 def test_decompose_labels_z10():
     decomp = decompose(regular_rep(dihedral(10)))
     assert decomp.label_multiset() == {"C(1,1)": 2, "W(w5)": 2, "W(w5^2)": 2}
+
+
+def certificate(rep, bases):
+    """(Schur deviation, class count, orbital count) of the parts with the
+    given bases, as `decompose` certifies them.  The commutant element is
+    drawn from another stream than the split's: one equal to it is diagonal
+    on its own eigenspaces and links no parts."""
+    from quandlelab.reps import _class_count, _commutant_element, _orbital_pairs, _schur_deviation
+
+    lab = _orbitals_of(rep)
+    n_orbitals = int(lab.max()) + 1
+    V = np.hstack(bases)
+    dims = np.array([B.shape[1] for B in bases])
+    Y = _commutant_element(lab, n_orbitals, np.random.default_rng(1))
+    return (_schur_deviation(V, dims, _orbital_pairs(lab)),
+            _class_count(V.conj().T @ Y @ V, dims), n_orbitals)
+
+
+def test_certificate_rejects_merged_parts():
+    """Two parts merged into one, isomorphic (both W(w5)) or not (W(w5)
+    and W(w5^2)), fail Schur's test and the class count."""
+    from quandlelab.reps import CHARACTER_TOL
+
+    rep = regular_rep(dihedral(10))
+    parts = decompose(rep).parts
+    dev, count, n_orbitals = certificate(rep, [p.subspace.basis for p in parts])
+    assert dev <= CHARACTER_TOL and count == n_orbitals
+    w5 = [i for i, p in enumerate(parts) if str(p.label) == "W(w5)"]
+    w5_2 = next(i for i, p in enumerate(parts) if str(p.label) == "W(w5^2)")
+    for a, b in ((w5[0], w5[1]), (w5[0], w5_2)):
+        merged = [p.subspace.basis for i, p in enumerate(parts) if i not in (a, b)]
+        merged.append(np.hstack([parts[a].subspace.basis, parts[b].subspace.basis]))
+        dev, count, n_orbitals = certificate(rep, merged)
+        assert dev > 0.1
+        assert count != n_orbitals
+
+
+def test_decompose_redraws_a_rejected_split(monkeypatch):
+    """A first commutant element with one (n-1)-dim eigenspace is rejected
+    and redrawn; six rejected draws raise."""
+    from quandlelab import reps
+
+    real = reps._commutant_element
+    calls = []
+
+    def flat_first(lab, n_orbitals, rng):
+        calls.append(1)
+        X = real(lab, n_orbitals, rng)
+        return X if len(calls) > 1 else np.ones_like(X)
+
+    monkeypatch.setattr(reps, "_commutant_element", flat_first)
+    decomp = decompose(regular_rep(dihedral(10)))
+    assert len(calls) == 4                       # X and Y of a rejected and an accepted draw
+    assert decomp.label_multiset() == {"C(1,1)": 2, "W(w5)": 2, "W(w5^2)": 2}
+    monkeypatch.setattr(reps, "_commutant_element",
+                        lambda lab, n_orbitals, rng: np.ones(lab.shape, dtype=complex))
+    with pytest.raises(ToleranceFailureError, match="could not separate eigenvalue clusters"):
+        decompose(regular_rep(dihedral(10)))
+
+
+def test_batched_labels_equal_label_part():
+    """`label_parts` reads every part at once; `label_part` reads one."""
+    F = {q: build_field_q(q) for q in (8, 9, 16)}
+    quandles = ([dihedral(n) for n in range(3, 49)]
+                + [alexander(F[q], a) for q in F for a in range(2, q)])
+    for Q in quandles:
+        rep = regular_rep(Q)
+        decomp = decompose(rep)
+        assert [p.label for p in decomp.parts] == [label_part(rep, p.subspace)
+                                                   for p in decomp.parts], Q
+
+
+def test_label_reading_does_not_depend_on_the_basis():
+    """On parts where R_2 R_1 acts as a scalar every vector is an
+    eigenvector of it; the label is the same in any orthonormal basis of
+    the part (GF(27), alpha = 2 has four such parts)."""
+    rep = regular_rep(alexander(build_field_q(27), 2))
+    rng = np.random.default_rng(0)
+    decomp = decompose(rep)
+    assert decomp.label_multiset()["W(w3^0)"] == 4
+    for p in decomp.parts:
+        U, _ = np.linalg.qr(rng.standard_normal((p.dim, p.dim))
+                            + 1j * rng.standard_normal((p.dim, p.dim)))
+        assert label_part(rep, Subspace(p.subspace.basis @ U)) == p.label
 
 
 def test_is_irreducible_examples():
@@ -822,6 +1002,17 @@ def test_cluster_matches_the_greedy_rule(real, n, seed):
     got = [c.tolist() for c in cluster(values, 1e-8)]
     assert got == _greedy_clusters(values, 1e-8)
     assert max(len(c) for c in got) > 1
+
+
+def test_components_of_indices_without_neighbours():
+    """A NaN value is near nothing, not even itself, and a part whose own
+    block of V^H Y V vanishes links to nothing: each is its own component."""
+    from quandlelab.reps import _class_count
+
+    assert [c.tolist() for c in cluster(np.array([2.0, np.nan, 1.0, 2.0]))] == [[0, 3], [1], [2]]
+    Z = np.zeros((3, 3), dtype=complex)
+    Z[0, 0] = 1.0
+    assert _class_count(Z, np.array([1, 2])) == 2
 
 
 def test_cluster_links_chains_and_orders_by_smallest_index():
