@@ -92,7 +92,10 @@ def read_labels(rep: QuandleRep, bases: list[np.ndarray], r: int | None = None) 
     G2 G1 together with v = G1 u forms the basis in which the two
     generators must take the forms [[0,1],[1,0]] and [[0,w],[w^-1,0]]; the
     anti-diagonal entry w = w_r^s, r the order of the rotation, fixes the
-    label.  Anything that fails verification is labeled opaque.
+    label.  Anything that fails verification is labeled opaque, and so is
+    a plane with w = 1 (s = 0), which is not one of the classes W(w_r^s),
+    1 <= s <= r/2: such a plane is irreducible only under the whole inner
+    group, not under R_1 and R_2.
     """
     dims = np.array([B.shape[1] for B in bases])
     if rep.quandle.order < 3:
@@ -146,6 +149,7 @@ def _read_planes(G1: np.ndarray, G2: np.ndarray, r: int) -> list[IrrepLabel]:
     ok &= np.sum(abs(R2) ** 2, axis=(1, 2)) <= LABEL_TOL ** 2
     e = np.rint(r * np.angle(w) / (2 * np.pi)).astype(int) % r
     ok &= abs(w - np.exp(2j * np.pi * e / r)) <= LABEL_TOL
+    ok &= e != 0                    # W(w_r^s) needs 1 <= s <= r/2; w = 1 is no class
     return [W(r, x) if good else opaque(2) for good, x in zip(ok.tolist(), e.tolist())]
 
 

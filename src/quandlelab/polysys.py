@@ -7,11 +7,18 @@ x^k + x^phi(k) - 1 = 0 must have no common solutions, and this module
 certifies that with exact integer/rational arithmetic only: the iterated
 polynomial gcd of the system is a nonzero constant.
 
+The involutions of all primitive elements of one field are read from one
+pairing table (`presentation.pairing_tables`, one Zech-table gather per
+alpha) and checked over the whole table at once by `log_involutions`;
+`log_involution` runs the same check on one alpha's row.
+
 In odd characteristic the fixed-point equation 2x^N - 1 = 0 anchors a fast
 exact route: its reciprocal x^N - 2 is Eisenstein at 2, so 2x^N - 1 is
 irreducible, and any other equation that fails to reduce to zero modulo
-x^N = 1/2 forces a constant gcd.  Characteristic two has no fixed point and
-falls back to the general subresultant chain.
+x^N = 1/2 forces a constant gcd.  That reduction is done in integers, with
+every coefficient scaled by the largest power 2^S of 1/2 it meets.
+Characteristic two has no fixed point and falls back to the general
+subresultant chain.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParamsError, NotInvolutionError
-from .fields import FieldTable, prime_factors
-from .presentation import PresentationContext
+from .fields import FieldTable, prime_factors, primitive_elements
+from .presentation import PresentationContext, pairing_tables
 
 IntPoly = list[int]  # little-endian, no trailing zeros
 
@@ -143,32 +150,66 @@ class LogInvolution:
         return [k for k in range(1, self.q - 1) if k <= self.phi[k]]
 
 
+def _checked_fixed_points(F: FieldTable, alphas: list[int],
+                          table: np.ndarray) -> list[tuple[int, ...]]:
+    """The fixed points of each row of a pairing table (`pairing_tables`),
+    checked with array masks over the whole table: every row must be an
+    involution of {1, ..., q-2}, with the single fixed point -log(2) mod
+    (q-1) in odd characteristic and none in characteristic two.  The first
+    failing row raises, naming its first failing k, as a per-alpha, per-k
+    loop would."""
+    m = F.q - 1
+    ks = np.arange(1, m)
+    image = table[:, 1:]
+    bad = (image < 1) | (image > m - 1)
+    bad |= np.take_along_axis(table, np.where(bad, 0, image), axis=1) != ks  # phi(phi(k))
+    fixed = image == ks
+    if F.p == 2:
+        expected = None
+        wrong = fixed.any(axis=1)
+    else:
+        # -log_alpha(2) = -log(2) * log(alpha)^-1 mod (q-1), in 1..q-2
+        log_two = F.log(F.add(1, 1))
+        expected = [(-log_two * pow(F.log(a), -1, m)) % m for a in alphas]
+        at_expected = fixed[np.arange(len(alphas)), np.array(expected, dtype=np.int64) - 1]
+        wrong = (fixed.sum(axis=1) != 1) | ~at_expected
+    failing = np.flatnonzero(bad.any(axis=1) | wrong)
+    if failing.size:
+        i = int(failing[0])
+        if bad[i].any():
+            phi = table[i].tolist()
+            k = int(np.argmax(bad[i])) + 1
+            raise NotInvolutionError(f"k={k}: phi(phi(k)) = {phi[phi[k]]} != k")
+        if expected is None:
+            raise NotInvolutionError("characteristic two admits no fixed point")
+        found = tuple(ks[fixed[i]].tolist())
+        raise NotInvolutionError(
+            f"fixed points {found}, expected exactly {{-log(2) = {expected[i]}}}")
+    return [()] * len(alphas) if expected is None else [(e,) for e in expected]
+
+
 def log_involution(F: FieldTable, alpha: int) -> LogInvolution:
     """Build and verify the involution; odd characteristic must produce the
     single fixed point -log(2) mod (q-1), characteristic two none."""
     if F.q <= 3:
         raise InvalidParamsError("the equation system needs q > 3")
-    ctx = PresentationContext(F, alpha)
-    m = F.q - 1
-    phi = ctx.phi
-    table = np.array(phi)
-    ks, image = np.arange(1, m), table[1:]
-    bad = (image < 1) | (image > m - 1)
-    bad |= table[np.where(bad, 0, image)] != ks    # phi(phi(k)) where in range
-    if bad.any():
-        k = int(np.argmax(bad)) + 1
-        raise NotInvolutionError(f"k={k}: phi(phi(k)) = {phi[phi[k]]} != k")
-    fixed = tuple(ks[image == ks].tolist())
-    if F.p == 2:
-        if fixed:
-            raise NotInvolutionError("characteristic two admits no fixed point")
-    else:
-        two = F.add(1, 1)
-        expected = (-ctx.dlog(two)) % m
-        if fixed != (expected,):
-            raise NotInvolutionError(
-                f"fixed points {fixed}, expected exactly {{-log(2) = {expected}}}")
+    phi = PresentationContext(F, alpha).phi
+    fixed, = _checked_fixed_points(F, [alpha], np.array([phi]))
     return LogInvolution(F.q, alpha, phi, fixed)
+
+
+def log_involutions(F: FieldTable) -> list[LogInvolution]:
+    """`log_involution` for every primitive element of F, in the order of
+    `primitive_elements`, read from one pairing table and checked over it
+    at once; a failing table raises the message `log_involution` would
+    raise at the first failing alpha."""
+    if F.q <= 3:
+        raise InvalidParamsError("the equation system needs q > 3")
+    alphas = primitive_elements(F)
+    table = pairing_tables(F, alphas)
+    fixed = _checked_fixed_points(F, alphas, table)
+    return [LogInvolution(F.q, a, tuple(phi), fp)
+            for a, phi, fp in zip(alphas, table.tolist(), fixed)]
 
 
 def system_poly(inv: LogInvolution, k: int) -> IntPoly:
@@ -204,22 +245,17 @@ class Certificate:
         return self.final_degree == 0
 
 
-def _reduce_mod_fixed(inv: LogInvolution, k: int, N: int) -> dict[int, Fraction]:
-    """P_k reduced exactly modulo x^N = 1/2; nonempty dict means nonzero."""
-    acc: dict[int, Fraction] = {}
-
-    def put(e: int, c: Fraction):
-        r, s = e % N, e // N
-        v = acc.get(r, Fraction(0)) + c * Fraction(1, 2 ** s)
-        if v:
-            acc[r] = v
-        else:
-            acc.pop(r, None)
-
-    put(k, Fraction(1))
-    put(inv.phi[k], Fraction(1))
-    put(0, Fraction(-1))
-    return acc
+def _reduce_mod_fixed(inv: LogInvolution, k: int, N: int) -> tuple[int, dict[int, int]]:
+    """P_k reduced exactly modulo x^N = 1/2, in integers: (S, c) with the
+    residue sum_r c[r] x^r / 2^S and every c[r] nonzero, so a nonempty c
+    means P_k is nonzero.  x^e reduces to x^(e mod N) / 2^(e // N); S is the
+    largest e // N, so each term's coefficient is scaled by 2^(S - e // N)."""
+    terms = ((k, 1), (inv.phi[k], 1), (0, -1))
+    S = max(e // N for e, _ in terms)
+    acc: dict[int, int] = {}
+    for e, c in terms:
+        acc[e % N] = acc.get(e % N, 0) + (c << (S - e // N))
+    return S, {r: c for r, c in acc.items() if c}
 
 
 def system_has_no_solution(inv: LogInvolution, method: str = "auto") -> Certificate:
@@ -247,7 +283,7 @@ def system_has_no_solution(inv: LogInvolution, method: str = "auto") -> Certific
             k = inv.phi[top]
             if k > top or k == N:
                 continue
-            residue = _reduce_mod_fixed(inv, k, N)
+            _, residue = _reduce_mod_fixed(inv, k, N)
             if residue:
                 cert.steps.append(GcdStep(
                     f"P_{k}", 0,

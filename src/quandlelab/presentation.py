@@ -202,16 +202,38 @@ def _iterate(table: list[int], k: int) -> list[int]:
     return out
 
 
+def pairing_tables(F: FieldTable, alphas) -> np.ndarray:
+    """The log-pairings of several primitive elements of one field: the
+    (len(alphas), q-1) int64 array whose row i is phi[k] = log(1 - alpha^k)
+    to base alpha = alphas[i], for 1 <= k <= q-2, with column 0 a
+    placeholder 0.  With alpha = base^a and -1 = base^h, phi[k] is
+    zech[(a k + h) mod (q-1)] * a^-1 mod (q-1), so every row is one gather
+    on the field's Zech table (Huber, IEEE Trans. IT 36(4), 1990)."""
+    m = F.q - 1
+    alphas = np.asarray(alphas, dtype=np.int64).reshape(-1)
+    inside = (alphas > 0) & (alphas < F.q)
+    la = F.log_array[np.where(inside, alphas, 1)].astype(np.int64)
+    bad = np.flatnonzero(~inside | (np.gcd(la, m) != 1))
+    if bad.size:
+        raise NotPrimitiveError(f"alpha={alphas[bad[0]]} is not primitive in GF({F.q})")
+    inv_la = np.array([pow(int(a), -1, m) for a in la], dtype=np.int64)
+    h = F.log_table[F.neg_table[1]]
+    table = np.zeros((alphas.size, m), dtype=np.int64)
+    table[:, 1:] = F.zech_array[(la[:, None] * np.arange(1, m) + h) % m]
+    table[:, 1:] *= inv_la[:, None]
+    table %= m
+    return table
+
+
 class PresentationContext:
     """The field model of the presented quandle for one (F_q, alpha).
 
     Holds discrete logs to base alpha, the Alexander step v*g = alpha v +
     (1-alpha) g with its inverse, and the Zech-style pairing table
     phi[k] = log(1 - alpha^k) for 1 <= k <= q-2 that drives the rewriting
-    (phi[0] is a placeholder).  The table is built once, here, and every
-    consumer reads it: with alpha = base^a and -1 = base^h, phi[k] is
-    zech[(a k + h) mod (q-1)] * a^-1 mod (q-1).  The translation tables of
-    the rewriting (`steps`) are built on first use."""
+    (phi[0] is a placeholder), its row of `pairing_tables`.  The table is
+    built once, here, and every consumer reads it.  The translation tables
+    of the rewriting (`steps`) are built on first use."""
 
     def __init__(self, F: FieldTable, alpha: int):
         if F.q <= 2:
@@ -222,15 +244,11 @@ class PresentationContext:
         self.alpha = alpha
         self.q = F.q
         self.m = F.q - 1
-        la = F.log(alpha)
-        inv_la = pow(la, -1, self.m)
-        h = F.log_table[F.neg_table[1]]
+        inv_la = pow(F.log(alpha), -1, self.m)
         self._dlog = [None] + ((F.log_array[1:].astype(np.int64) * inv_la) % self.m).tolist()
         self.one_minus_alpha = F.sub(1, alpha)
         self.inv_alpha = F.inv(alpha)
-        k = np.arange(1, self.m)
-        self.phi: tuple[int, ...] = (0,) + tuple(
-            ((F.zech_array[(la * k + h) % self.m].astype(np.int64) * inv_la) % self.m).tolist())
+        self.phi: tuple[int, ...] = tuple(pairing_tables(F, [alpha])[0].tolist())
 
     def dlog(self, v: int) -> int:
         if v == 0:

@@ -184,7 +184,7 @@ class Quandle:
 
     def translation(self, t: int) -> Perm:
         """R_t as a permutation: y -> y > t."""
-        return tuple(int(v) for v in self.table[:, t])
+        return tuple(self.table[:, t].tolist())
 
     def inv_translation(self, t: int) -> Perm:
         return perm_inverse(self.translation(t))

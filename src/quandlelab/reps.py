@@ -276,6 +276,7 @@ class QuandleRep:
         self.matrices.setflags(write=False)
         self.dim = int(self.matrices.shape[1])
         self._perm_form: tuple[np.ndarray, np.ndarray] | None | bool = False  # False: not read yet
+        self._distinct: tuple[np.ndarray, ...] | None = None
         if perms is not None:
             perms = np.array(perms, dtype=np.intp)
             self._perm_form = _read_only(perms, _inverse_perms(perms))
@@ -294,10 +295,14 @@ class QuandleRep:
         return self._perm_form
 
     def distinct_matrices(self) -> list[np.ndarray]:
-        seen = _MatrixSet(self.matrices.shape[1:], DISTINCT_TOL)
-        for m in self.matrices:
-            seen.add(m)
-        return seen.elements
+        """The images with duplicates (to DISTINCT_TOL) dropped, in order
+        of first appearance.  Found on the first call and kept."""
+        if self._distinct is None:
+            seen = _MatrixSet(self.matrices.shape[1:], DISTINCT_TOL)
+            for m in self.matrices:
+                seen.add(m)
+            self._distinct = tuple(seen.elements)
+        return list(self._distinct)
 
     def __repr__(self) -> str:
         return f"QuandleRep({self.quandle!r}, dim={self.dim})"

@@ -1,10 +1,13 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from quandlelab import cli
 from quandlelab.cli import main
+from quandlelab.presentation import PresentationContext
 from quandlelab.quandles import Quandle, dihedral
 
 
@@ -180,6 +183,45 @@ def test_verify_appendix(capsys):
     assert all(r["no_solutions"] or r["q"] == 4 for r in rows)
     odd = [r for r in rows if r["q"] % 2]
     assert all(r["fixed_point"] is not None for r in odd)
+
+
+@pytest.mark.parametrize("qmax,md5", [(256, "0993f58e1c12c42c4ba11b6fb04c6af0"),
+                                      (512, "66b11c47667622053f56981a5fe1d0a3")])
+def test_verify_appendix_output_bytes(capsys, qmax, md5):
+    """The JSON rows are byte-identical to those of the per-alpha loop
+    that built one PresentationContext and one Fraction reduction per
+    (q, alpha)."""
+    code, out, _ = run(capsys, "--json", "verify", "appendix", "--qmax", str(qmax))
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+def test_verify_appendix_builds_no_presentation_context(capsys, monkeypatch):
+    """The involutions come from one pairing table per field."""
+    builds = []
+    real = PresentationContext.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(PresentationContext, "__init__", counting)
+    code, _, _ = run(capsys, "--json", "verify", "appendix", "--qmax", "64")
+    assert code == 0
+    assert builds == []
+
+
+@pytest.mark.parametrize("q,calls", [(16, 8), (125, 0)])
+def test_verify_iso_builds_one_quandle_per_alpha(capsys, monkeypatch, q, calls):
+    """The isomorphism search (q <= 16 only) builds one Alexander quandle
+    per primitive element, not two per pair."""
+    built = []
+    real = cli.alexander
+    monkeypatch.setattr(cli, "alexander", lambda F, a: built.append(a) or real(F, a))
+    code, out, _ = run(capsys, "--json", "classify-cyclic", "--q", str(q), "--verify-iso")
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+    assert len(built) == calls
 
 
 def test_demo_maschke(capsys):

@@ -174,3 +174,20 @@ def test_s3_hom_demo_rejects_identity():
         s3_hom_demo("1")
     with pytest.raises(InvalidParamsError):
         s3_hom_demo(0)
+
+
+def test_maschke_dedups_the_images_once(monkeypatch):
+    """`distinct_matrices` is kept on the representation: one Maschke
+    call files the images of its orbit representation once."""
+    from quandlelab import reps
+
+    built = []
+    real = reps._MatrixSet.__init__
+
+    def counting(self, shape, tol):
+        built.append(tol)
+        real(self, shape, tol)
+
+    monkeypatch.setattr(reps._MatrixSet, "__init__", counting)
+    maschke_counterexample(3, J2)
+    assert built.count(reps.DISTINCT_TOL) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quandlelab import polysys
-from quandlelab.errors import InvalidParamsError, NotInvolutionError
+from quandlelab.errors import InvalidParamsError, NotInvolutionError, NotPrimitiveError
 from quandlelab.fields import build_field_q, primitive_elements
 from quandlelab.polysys import (
     int_poly_gcd,
@@ -273,3 +273,139 @@ def test_sum_identity(q):
 def test_prime_powers_upto():
     assert prime_powers_upto(32) == [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
     assert prime_powers_upto(10, minimum=2) == [2, 3, 4, 5, 7, 8, 9]
+
+
+# -- the per-field pairing table and the batched checks --
+
+@pytest.fixture(scope="module")
+def fields_upto_512():
+    return {q: build_field_q(q) for q in prime_powers_upto(512)}
+
+
+def test_pairing_tables_rows_are_the_context_tables(fields_upto_512):
+    """Row i of `pairing_tables` is the table of PresentationContext(F,
+    alphas[i]) for every primitive alpha with q <= 512, and below 64 it
+    equals log_alpha(1 - alpha^k) computed by field arithmetic."""
+    for q, F in fields_upto_512.items():
+        prims = primitive_elements(F)
+        table = polysys.pairing_tables(F, prims)
+        assert table.shape == (len(prims), q - 1)
+        for a, row in zip(prims, table.tolist()):
+            ctx = polysys.PresentationContext(F, a)
+            assert tuple(row) == ctx.phi, (q, a)
+            if q <= 64:
+                assert row[1:] == [ctx.dlog(F.sub(1, F.pow(a, k))) for k in range(1, q - 1)]
+
+
+def test_pairing_tables_reject_non_primitive_elements():
+    F = build_field_q(13)
+    for bad in (0, 1, 3, 13):
+        with pytest.raises(NotPrimitiveError):
+            polysys.pairing_tables(F, [2, bad])
+
+
+def test_log_involutions_equal_log_involution(fields_upto_512):
+    for q in (4, 5, 8, 9, 16, 27, 64, 125, 128, 243, 256, 512):
+        F = fields_upto_512[q]
+        assert polysys.log_involutions(F) == [log_involution(F, a) for a in primitive_elements(F)]
+    with pytest.raises(InvalidParamsError):
+        polysys.log_involutions(build_field_q(3))
+
+
+def _first_failure(F, table):
+    """The message of a loop over the rows and then over k: the per-k
+    involution check, then the fixed-point check, as `log_involution`
+    makes them one alpha at a time."""
+    m = F.q - 1
+    for a, phi in zip(primitive_elements(F), table):
+        for k in range(1, m):
+            if not 1 <= phi[k] <= m - 1 or phi[phi[k]] != k:
+                return f"k={k}: phi(phi(k)) = {phi[phi[k]]} != k"
+        fixed = tuple(k for k in range(1, m) if phi[k] == k)
+        if F.p == 2:
+            if fixed:
+                return "characteristic two admits no fixed point"
+        else:
+            from quandlelab.fields import discrete_log
+
+            expected = (-discrete_log(F, a, F.add(1, 1))) % m
+            if fixed != (expected,):
+                return f"fixed points {fixed}, expected exactly {{-log(2) = {expected}}}"
+    return None
+
+
+@pytest.mark.parametrize("q", [5, 8, 13, 16, 27, 49])
+def test_batched_check_names_the_first_failing_alpha_and_k(q, monkeypatch):
+    """Corrupted pairing tables, with entries overwritten in 0..q-2 or a
+    pair of the involution turned into two fixed points, raise the message
+    of the loop over (alpha, k) at its first failure."""
+    F = build_field_q(q)
+    prims = primitive_elements(F)
+    real = polysys.pairing_tables(F, prims)
+    rng = np.random.default_rng(q)
+    raised = 0
+    for trial in range(40):
+        table = real.copy()
+        for _ in range(1 + trial % 3):
+            i, k = int(rng.integers(len(prims))), int(rng.integers(1, q - 1))
+            if trial % 2:
+                table[i, k] = rng.integers(0, q - 1)
+            elif table[i, k] != k:                  # k <-> phi(k) becomes two fixed points
+                table[i, table[i, k]] = table[i, k]
+                table[i, k] = k
+        expected = _first_failure(F, table.tolist())
+        monkeypatch.setattr(polysys, "pairing_tables", lambda F, alphas, t=table: t)
+        if expected is None:
+            polysys.log_involutions(F)
+        else:
+            raised += 1
+            with pytest.raises(NotInvolutionError) as exc:
+                polysys.log_involutions(F)
+            assert str(exc.value) == expected
+    assert raised >= 30
+
+
+def _fraction_reduce(inv, k, N):
+    """Oracle: P_k reduced modulo x^N = 1/2 over the rationals."""
+    acc = {}
+    for e, c in ((k, 1), (inv.phi[k], 1), (0, -1)):
+        r = e % N
+        acc[r] = acc.get(r, Fraction(0)) + Fraction(c, 2 ** (e // N))
+    return {r: c for r, c in acc.items() if c}
+
+
+def _fraction_certificate(inv):
+    """Oracle: the fixed-point anchor route with the rational reduction."""
+    N = inv.fixed_points[0]
+    cert = polysys.Certificate(inv.q, inv.alpha, N, method="fixed-point-anchor")
+    cert.steps.append(polysys.GcdStep(f"P_{N} = 2x^{N}-1", N, "irreducible (Eisenstein)"))
+    cert.final_degree = N
+    for k in sorted((k for k in inv.pair_representatives() if k != N),
+                    key=lambda k: inv.phi[k]):
+        residue = _fraction_reduce(inv, k, N)
+        if residue:
+            cert.steps.append(polysys.GcdStep(
+                f"P_{k}", 0, f"P_{k} mod (x^{N}-1/2) nonzero of degree {max(residue)}"))
+            cert.final_degree = 0
+            return cert
+        cert.steps.append(polysys.GcdStep(f"P_{k}", N, "multiple of the anchor"))
+    return cert
+
+
+def test_integer_reduction_matches_the_fraction_oracle(fields_upto_512):
+    """On every odd (q, alpha) with q <= 512 the integer reduction equals
+    the rational one on each equation the certificate reduces (on every
+    representative for q <= 64), and the certificates are equal."""
+    for q, F in fields_upto_512.items():
+        if q % 2 == 0:
+            continue
+        for inv in polysys.log_involutions(F):
+            N = inv.fixed_points[0]
+            cert = system_has_no_solution(inv)
+            assert cert == _fraction_certificate(inv), (q, inv.alpha)
+            reduced = [int(step.poly[2:]) for step in cert.steps[1:]]
+            if q <= 64:
+                reduced = [k for k in inv.pair_representatives() if k != N]
+            for k in reduced:
+                S, c = polysys._reduce_mod_fixed(inv, k, N)
+                assert {r: Fraction(v, 2 ** S) for r, v in c.items()} == _fraction_reduce(inv, k, N)

@@ -386,6 +386,14 @@ def test_translation_identity():
                     assert R[Q.op(y, z)] == Q.op(R[y], R[z])
 
 
+def test_translation_is_a_tuple_of_python_ints():
+    Q = alexander(build_field(2, 3), 2)
+    for t in range(Q.order):
+        R = Q.translation(t)
+        assert type(R) is tuple and all(type(v) is int for v in R)
+        assert R == tuple(int(Q.op(y, t)) for y in range(Q.order))
+
+
 def test_rinv_inverts_translation():
     for Q in (dihedral(5), alexander(build_field(2, 3), 2)):
         for x in range(Q.order):

@@ -703,15 +703,27 @@ def test_batched_labels_equal_label_part():
 def test_label_reading_does_not_depend_on_the_basis():
     """On parts where R_2 R_1 acts as a scalar every vector is an
     eigenvector of it; the label is the same in any orthonormal basis of
-    the part (GF(27), alpha = 2 has four such parts)."""
+    the part (GF(27), alpha = 2 has four such parts, on which R_2 R_1 is
+    the identity: they read opaque(2), not the non-class W(w3^0))."""
     rep = regular_rep(alexander(build_field_q(27), 2))
     rng = np.random.default_rng(0)
     decomp = decompose(rep)
-    assert decomp.label_multiset()["W(w3^0)"] == 4
+    assert decomp.label_multiset() == {"C(1,1)": 1, "W(w3)": 9, "opaque(2)": 4}
     for p in decomp.parts:
         U, _ = np.linalg.qr(rng.standard_normal((p.dim, p.dim))
                             + 1j * rng.standard_normal((p.dim, p.dim)))
         assert label_part(rep, Subspace(p.subspace.basis @ U)) == p.label
+
+
+def test_planes_with_trivial_rotation_read_opaque():
+    """W(w_r^s) needs 1 <= s <= r/2: a plane on which R_2 R_1 is the
+    identity reads opaque(2), never W(w_r^0)."""
+    for q, a, expected in ((9, 2, {"C(1,1)": 1, "W(w3)": 3, "opaque(2)": 1}),
+                           (25, 4, None), (27, 2, None)):
+        decomp = decompose(regular_rep(alexander(build_field_q(q), a)))
+        assert all(p.label.kind != "W" or p.label.b >= 1 for p in decomp.parts), (q, a)
+        if expected is not None:
+            assert decomp.label_multiset() == expected
 
 
 def test_is_irreducible_examples():
